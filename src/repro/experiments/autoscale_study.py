@@ -31,14 +31,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mapping import WorkloadMapping
 from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.autoscaler import AutoscaleResult, Autoscaler, AutoscalerConfig
 from repro.serving.cache import ServingCache, TinyLFUAdmission
 from repro.serving.scheduler import AdaptiveBatchConfig, AdaptiveMicroBatchScheduler
@@ -77,27 +72,6 @@ AUTOSCALE_STUDY_DEFAULTS = {
 }
 
 
-def _build_models(seed: int, scale: float):
-    """One tenant's corpus: dataset, untrained models, per-user queries."""
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
-
-
 def _popular_users(requests: Sequence[Request], count: int) -> List[int]:
     """The ``count`` most-requested user ids (warm-up targets)."""
     frequency = Counter(request.user for request in requests)
@@ -124,7 +98,7 @@ def run_autoscale_study(
     report = ExperimentReport(
         "E-AUTOSCALE", "Closed-loop autoscaler: shards x replicas vs p95 SLO"
     )
-    dataset, filtering, ranking, workload = _build_models(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
 
     # -- calibrate the operating point against one engine ----------------
@@ -147,7 +121,7 @@ def run_autoscale_study(
     slo_ms = params["slo_factor"] * batch_one_s * 1e3
 
     # -- the traffic patterns the deployment is sized against ------------
-    tenant_b = _build_models(seed + 1, params["scale"])
+    tenant_b = build_serving_corpus(seed + 1, params["scale"])
     movielens_factor, criteo_factor = params["tenant_slo_factors"]
     tenant_slos_ms = {
         "movielens": movielens_factor * batch_one_s * 1e3,

@@ -36,15 +36,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.cache import ServingCache
 from repro.serving.faults import FaultPlan, escalating_scenarios
 from repro.serving.resilience import ResilienceConfig
@@ -90,26 +84,6 @@ CHAOS_STUDY_DEFAULTS = {
     "min_availability": 0.99,
     "max_p95_inflation": 2.0,
 }
-
-
-def _build_models(seed: int, scale: float):
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
 
 
 def _bit_identical(left: ServingResult, right: ServingResult) -> bool:
@@ -166,7 +140,7 @@ def run_chaos_study(
         "E-CHAOS",
         "Fault injection: self-healing fleet vs resilience-off",
     )
-    dataset, filtering, ranking, workload = _build_models(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
     num_shards = params["num_shards"]

@@ -8,11 +8,56 @@ EXPERIMENTS.md) can report paper-vs-measured for every table and figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PaperComparison", "ExperimentReport", "relative_error", "seeded_rng"]
+from repro.core.pipeline import ServeQuery
+from repro.data.movielens import MovieLensDataset
+from repro.models.youtube_dnn import (
+    YouTubeDNNConfig,
+    YouTubeDNNFiltering,
+    YouTubeDNNRanking,
+)
+
+__all__ = [
+    "PaperComparison",
+    "ExperimentReport",
+    "build_serving_corpus",
+    "relative_error",
+    "seeded_rng",
+]
+
+
+def build_serving_corpus(
+    seed: int, scale: float
+) -> Tuple[
+    MovieLensDataset, YouTubeDNNFiltering, YouTubeDNNRanking, List[ServeQuery]
+]:
+    """One serving study's corpus: ``(dataset, filtering, ranking, workload)``.
+
+    A synthetic MovieLens at ``scale``, seeded *untrained* YouTubeDNN
+    filtering and ranking models (serving behaviour -- scheduling,
+    sharding, caching, cost accounting -- does not depend on embedding
+    quality), and ``workload[u]``, the query user ``u`` issues.
+    """
+    dataset = MovieLensDataset(scale=scale, seed=seed)
+    config = YouTubeDNNConfig(
+        num_items=dataset.num_items,
+        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
+        seed=seed,
+    )
+    filtering = YouTubeDNNFiltering(config)
+    ranking = YouTubeDNNRanking(config)
+    workload = [
+        ServeQuery.make(
+            dataset.histories[user],
+            dataset.demographics[user],
+            dataset.ranking_context[user],
+        )
+        for user in range(dataset.num_users)
+    ]
+    return dataset, filtering, ranking, workload
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:

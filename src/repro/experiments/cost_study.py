@@ -44,15 +44,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.cache import RepetitionAwareCache, ServingCache
 from repro.serving.execution import (
     EagerExecutionModel,
@@ -102,26 +96,6 @@ COST_STUDY_DEFAULTS = {
 }
 
 
-def _build_models(seed: int, scale: float):
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
-
-
 def run_cost_study(
     seed: int = 0,
     trace_out: Optional[str] = None,
@@ -145,7 +119,7 @@ def run_cost_study(
         "E-COST",
         "Dollar-cost execution models (eager/lazy/hybrid) + workload analyzer",
     )
-    dataset, filtering, ranking, workload = _build_models(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
     num_shards = params["num_shards"]

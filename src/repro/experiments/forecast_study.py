@@ -55,15 +55,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.autoscaler import (
     Autoscaler,
     AutoscalerConfig,
@@ -141,26 +135,6 @@ FORECAST_STUDY_DEFAULTS = {
 _DEPLOYMENT_GRID: Tuple[Tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
-def _build_models(seed: int, scale: float):
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
-
-
 def _records_identical(left: ServingResult, right: ServingResult) -> bool:
     """Bit-identity over the full record stream + energy total."""
     if len(left.records) != len(right.records):
@@ -197,7 +171,7 @@ def run_forecast_study(
         "E-FORECAST",
         "Forecast-driven predictive autoscaling: reactive vs predictive vs oracle",
     )
-    dataset, filtering, ranking, workload = _build_models(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
 

@@ -48,15 +48,9 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.autoscaler import OnlineScaler, OnlineScalerConfig
 from repro.serving.cache import ServingCache, TinyLFUAdmission
@@ -102,26 +96,6 @@ HETERO_STUDY_DEFAULTS = {
 }
 
 
-def _build_models(seed: int, scale: float):
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
-
-
 def _records_identical(left: ServingResult, right: ServingResult) -> bool:
     """Same served items for every request id (the spillover invariant)."""
     if len(left.records) != len(right.records):
@@ -153,7 +127,7 @@ def run_hetero_study(
         "E-HETERO",
         "Heterogeneous fleet: IMC+GPU spillover, live scaling, admission",
     )
-    dataset, filtering, ranking, workload = _build_models(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
 

@@ -27,14 +27,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.mapping import WorkloadMapping
 from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset, movielens_table_specs
-from repro.experiments.common import ExperimentReport
+from repro.data.movielens import movielens_table_specs
+from repro.experiments.common import ExperimentReport, build_serving_corpus
 from repro.obs import Telemetry
-from repro.models.youtube_dnn import (
-    YouTubeDNNConfig,
-    YouTubeDNNFiltering,
-    YouTubeDNNRanking,
-)
 from repro.serving.cache import ServingCache
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
@@ -62,26 +57,6 @@ SERVING_STUDY_DEFAULTS = {
     "load_fraction": 0.75,  # offered load as a fraction of GPU capacity
     "cache_fraction": 3,  # cache capacity = num_users // cache_fraction
 }
-
-
-def _build_workload(seed: int, scale: float):
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
-        )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
 
 
 def _traffic_patterns(rate_qps: float, dataset, seed: int) -> List[object]:
@@ -154,7 +129,7 @@ def run_serving_study(
     report = ExperimentReport(
         "E-SERVE", "Online serving: tail latency, sharding, caching"
     )
-    dataset, filtering, ranking, workload = _build_workload(seed, params["scale"])
+    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
     mapping = WorkloadMapping(movielens_table_specs())
 
     engines: Dict[Tuple[str, int], object] = {}

@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.pipeline import QueryResult
+from repro.core.pipeline import BatchResult, QueryResult
 from repro.energy.accounting import Cost, Ledger
 from repro.serving.faults import ERROR, FaultError, FaultInjector, FaultPlan
 
@@ -56,6 +56,7 @@ __all__ = [
     "CircuitBreaker",
     "FaultContext",
     "attach_faults",
+    "failed_batch_result",
     "failed_query_result",
 ]
 
@@ -327,6 +328,33 @@ class FaultContext:
             and self.retries_used < self.resilience.retry_budget
         )
 
+    def detection_s(
+        self,
+        fault: FaultError,
+        expected_query_s: Optional[float],
+        num_queries: int,
+        shard_deadline: bool = False,
+    ) -> float:
+        """Seconds the caller spends finding out that an attempt failed.
+
+        A transient error did the work and returned garbage, so the
+        caller pays the full serve latency to find out.  A crash or
+        outage is silence, detected by the attempt timeout -- or, for a
+        whole shard the gather waits on, the shard deadline.  Without
+        resilience nobody waits.  Counts the hit in ``error_hits`` /
+        ``crash_hits``.
+        """
+        if fault.kind == ERROR:
+            self.counters["error_hits"] += 1
+            return fault.cost.latency_s
+        self.counters["crash_hits"] += 1
+        resilience = self.resilience
+        if resilience is None:
+            return 0.0
+        if shard_deadline:
+            return resilience.shard_deadline_s(expected_query_s, num_queries)
+        return resilience.attempt_timeout_s(expected_query_s, num_queries)
+
     # -- recovery-cost accumulators -------------------------------------
 
     def add_retry_cost(self, cost: Cost) -> None:
@@ -444,6 +472,14 @@ def failed_query_result() -> QueryResult:
         ledger=Ledger(name="failed-query"),
         scores=[],
         failed=True,
+    )
+
+
+def failed_batch_result(num_queries: int, latency_s: float = 0.0) -> BatchResult:
+    """A dropped batch: fresh failed results, occupancy ``latency_s``."""
+    return BatchResult(
+        results=[failed_query_result() for _ in range(num_queries)],
+        cost=Cost(latency_ns=latency_s * 1e9),
     )
 
 

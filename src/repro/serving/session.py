@@ -41,19 +41,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import BatchResult, ServeQuery
+from repro.core.pipeline import ServeQuery
 from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S
 from repro.obs.telemetry import Telemetry, attach_telemetry
 from repro.serving.admission import ACCEPT, DEGRADE, SHED, AdmissionController
 from repro.serving.cache import ServingCache
-from repro.serving.faults import ERROR, FaultError, FaultPlan
+from repro.serving.faults import FaultError, FaultPlan
 from repro.serving.pricing import PriceBook, PriceLedger, price_serving_run
 from repro.serving.resilience import (
     FaultContext,
     ResilienceConfig,
     attach_faults,
-    failed_query_result,
+    failed_batch_result,
 )
 from repro.serving.scheduler import Batch, MicroBatchConfig, MicroBatchScheduler
 from repro.serving.shard import migration_cost, plan_scale_migration
@@ -586,47 +586,32 @@ class ServingSession:
                     # Anchor the fault clock: engines and routers place
                     # every serve attempt of this round at this instant.
                     fault_ctx.begin_round(engine_start_s)
-                    try:
-                        batch_result = self.engine.serve_batch(list(distinct))
-                    except FaultError as fault:
-                        # A bare (router-less) engine has no peer to fail
-                        # over to: the whole miss batch fails after its
-                        # detection latency and the wasted energy is
-                        # re-billed below.
-                        if fault.kind == ERROR:
-                            detect_s = fault.cost.latency_s
-                            fault_ctx.counters["error_hits"] += 1
-                        else:
-                            estimate = getattr(
-                                self.engine, "expected_query_latency_s", None
-                            )
-                            detect_s = (
-                                fault_ctx.resilience.attempt_timeout_s(
-                                    estimate, len(distinct)
-                                )
-                                if fault_ctx.resilience is not None
-                                else 0.0
-                            )
-                            fault_ctx.counters["crash_hits"] += 1
-                        fault_ctx.record_event(
-                            "attempt-failed",
-                            engine_start_s + detect_s,
-                            kind=fault.kind,
-                            shard=0,
-                            replica=0,
-                        )
-                        fault_ctx.add_retry_cost(
-                            Cost(
-                                energy_pj=fault.cost.energy_pj,
-                                latency_ns=detect_s * 1e9,
-                            )
-                        )
-                        batch_result = BatchResult(
-                            results=[failed_query_result() for _ in distinct],
-                            cost=Cost(latency_ns=detect_s * 1e9),
-                        )
-                else:
+                try:
                     batch_result = self.engine.serve_batch(list(distinct))
+                except FaultError as fault:
+                    # Only a bare (router-less) engine under a fault plane
+                    # raises here.  It has no peer to fail over to: the
+                    # whole miss batch fails after its detection latency
+                    # and the wasted energy is re-billed below.
+                    detect_s = fault_ctx.detection_s(
+                        fault,
+                        getattr(self.engine, "expected_query_latency_s", None),
+                        len(distinct),
+                    )
+                    fault_ctx.record_event(
+                        "attempt-failed",
+                        engine_start_s + detect_s,
+                        kind=fault.kind,
+                        shard=0,
+                        replica=0,
+                    )
+                    fault_ctx.add_retry_cost(
+                        Cost(
+                            energy_pj=fault.cost.energy_pj,
+                            latency_ns=detect_s * 1e9,
+                        )
+                    )
+                    batch_result = failed_batch_result(len(distinct), detect_s)
                 serve_cost = batch_result.cost
                 if traced:
                     tracer.close(

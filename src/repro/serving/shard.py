@@ -55,10 +55,10 @@ from repro.core.pipeline import (
     QueryResult,
     ServeQuery,
 )
-from repro.energy.accounting import Cost, Ledger
+from repro.energy.accounting import ZERO_COST, Cost, Ledger
 from repro.gpu.device import GPUDeviceModel, GTX1080
-from repro.serving.faults import ERROR, FaultError
-from repro.serving.resilience import failed_query_result
+from repro.serving.faults import FaultError
+from repro.serving.resilience import failed_batch_result, failed_query_result
 
 __all__ = [
     "partition_corpus",
@@ -133,7 +133,7 @@ class ReplicaGroup:
     _obs = None
 
     #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no chaos: serve_batch takes the untouched fast path).
+    #: (None = no fault plane: no breakers, no fault clock).
     _faults = None
     #: This group's shard index inside the enclosing ShardedEngine.
     _fault_site = 0
@@ -298,119 +298,72 @@ class ReplicaGroup:
         return self.serve_batch([query]).results[0]
 
     def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
+        """Route one dispatch round and serve every replica lane.
+
+        Under an attached fault plane (``_faults``) routing skips
+        replicas whose breakers are open and each lane recovers from
+        failed attempts (:meth:`_serve_lane`).  Without one -- or over an
+        empty plan -- no attempt ever fails, so routing, spans and costs
+        are those of an unwrapped group (the empty-plan bit-identity
+        invariant).  Busy/assigned accounting stays keyed by the
+        *planned* replica index so routing replays exactly even when a
+        retry lands elsewhere.
+        """
         if not queries:
             return BatchResult(results=[], cost=Cost())
-        if self._faults is not None:
-            return self._serve_batch_chaos(queries, self._faults)
-        assignment = self.assign(len(queries))
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        spillover = self.p95_target_s is not None
-        primary = self._energy_order()[0] if (traced and spillover) else 0
-        placed: Dict[int, QueryResult] = {}
-        sub_costs: List[Cost] = []
-        for index, positions in enumerate(assignment):
-            if not positions:
-                continue
-            if traced:
-                # Replica sub-batches run concurrently: each replica span
-                # starts when the enclosing (shard) stage started.
-                start_s = tracer.cursor_s
-                probe = (
-                    getattr(
-                        self.replicas[index], "expected_query_latency_s", None
-                    )
-                    is None
-                )
-                tracer.open(
-                    f"replica{index}",
-                    start_s,
-                    category="serve",
-                    replica=index,
-                    engine=type(self.replicas[index]).__name__,
-                    queries=len(positions),
-                    spill=spillover and index != primary,
-                )
-                if spillover and probe:
-                    tracer.instant(
-                        "spillover-probe", start_s, replica=index
-                    )
-            sub_batch = self.replicas[index].serve_batch(
-                [queries[position] for position in positions]
-            )
-            if traced:
-                tracer.close(start_s + sub_batch.cost.latency_s)
-            self.busy_s[index] += sub_batch.cost.latency_s
-            self.assigned[index] += len(positions)
-            sub_costs.append(sub_batch.cost)
-            for position, result in zip(positions, sub_batch.results):
-                placed[position] = result
-        return BatchResult(
-            results=[placed[position] for position in range(len(queries))],
-            cost=Cost.concurrent(sub_costs),
-        )
-
-    def _serve_batch_chaos(self, queries: Sequence[ServeQuery], ctx) -> BatchResult:
-        """serve_batch under an attached fault plane.
-
-        Mirrors the plain path exactly when nothing fires (same routing,
-        same spans, same costs -- the empty-plan bit-identity invariant),
-        and layers the resilience behaviours on top when it does:
-        breaker-aware failover routing, per-lane timeouts + retries with
-        backoff, and tail hedging.  Busy/assigned accounting stays keyed
-        by the *planned* replica index so routing replays exactly even
-        when a retry lands elsewhere.
-        """
-        resilience = ctx.resilience
-        base_s = ctx.attempt_time_s
-        shard = self._fault_site
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        spillover = self.p95_target_s is not None
+        ctx = self._faults
+        resilience = ctx.resilience if ctx is not None else None
+        base_s = ctx.attempt_time_s if ctx is not None else 0.0
+        allowed = None
         if resilience is not None:
             allowed = [
                 index
                 for index in range(len(self.replicas))
-                if ctx.breaker(shard, index).allow(base_s)
+                if ctx.breaker(self._fault_site, index).allow(base_s)
             ]
             if not allowed:
                 # Every breaker open: fail fast without touching an
                 # engine -- the cheap steady state once a whole shard is
                 # known-dark (keeps the tail flat during an outage).
-                return BatchResult(
-                    results=[failed_query_result() for _ in queries],
-                    cost=Cost(),
-                )
+                return failed_batch_result(len(queries))
             if len(allowed) == len(self.replicas):
                 allowed = None  # the healthy fast path routes as before
-        else:
-            allowed = None
         assignment = self.assign(len(queries), allowed=allowed)
-        primary = self._energy_order()[0] if (traced and spillover) else 0
+        obs = self._obs
+        tracer = obs.tracer if obs is not None else None
+        if tracer is not None and not tracer.active:
+            tracer = None
+        spillover = self.p95_target_s is not None
+        primary = (
+            self._energy_order()[0] if (tracer is not None and spillover) else 0
+        )
         placed: Dict[int, QueryResult] = {}
         sub_costs: List[Cost] = []
         for index, positions in enumerate(assignment):
             if not positions:
                 continue
-            sub_queries = [queries[position] for position in positions]
-            lane_results, lane_cost = self._serve_lane_chaos(
-                index, sub_queries, ctx, base_s, tracer if traced else None,
-                spillover, primary,
+            lane_results, lane_cost = self._serve_lane(
+                index,
+                [queries[position] for position in positions],
+                ctx,
+                base_s,
+                tracer,
+                spillover,
+                primary,
             )
             self.busy_s[index] += lane_cost.latency_s
             self.assigned[index] += len(positions)
             sub_costs.append(lane_cost)
             for position, result in zip(positions, lane_results):
                 placed[position] = result
-        ctx.begin_round(base_s)  # restore for the caller's next lane/shard
+        if ctx is not None:
+            ctx.begin_round(base_s)  # restore for the caller's next shard
         return BatchResult(
             results=[placed[position] for position in range(len(queries))],
             cost=Cost.concurrent(sub_costs),
         )
 
-    def _serve_lane_chaos(
+    def _serve_lane(
         self,
         index: int,
         sub: Sequence[ServeQuery],
@@ -420,23 +373,25 @@ class ReplicaGroup:
         spillover: bool,
         primary: int,
     ) -> Tuple[List[QueryResult], Cost]:
-        """One replica lane of a chaos dispatch round.
+        """One replica lane of a dispatch round.
 
         Returns the lane's per-query results plus its occupancy cost.
-        The first attempt goes to the planned replica; each failure pays
-        a detection latency (the fault's own latency for transient
-        errors, the configured timeout for crashes/outages), then the
-        retry fails over to the least-loaded breaker-allowed peer or, if
-        none exists, backs off exponentially on the same replica.  A
-        successful-but-straggling attempt fires one hedge on a peer and
-        the earlier finisher sets the lane latency.  All failed-attempt
-        and hedge energy is accumulated on the context for the session
-        to re-bill under "Retry"/"Hedge".
+        The first attempt goes to the planned replica -- without a fault
+        plane it is the only one.  Each failure pays a detection latency
+        (:meth:`~repro.serving.resilience.FaultContext.detection_s`),
+        then the retry fails over to the least-loaded breaker-allowed
+        peer or, if none exists, backs off exponentially on the same
+        replica.  A successful-but-straggling attempt fires one hedge on
+        a peer and the earlier finisher sets the lane latency.  All
+        failed-attempt and hedge energy is accumulated on the context
+        for the session to re-bill under "Retry"/"Hedge".
         """
-        resilience = ctx.resilience
+        resilience = ctx.resilience if ctx is not None else None
         shard = self._fault_site
         n = len(sub)
         if tracer is not None:
+            # Replica sub-batches run concurrently: each replica span
+            # starts when the enclosing (shard) stage started.
             start_s = tracer.cursor_s
             probe = (
                 getattr(self.replicas[index], "expected_query_latency_s", None)
@@ -455,33 +410,23 @@ class ReplicaGroup:
                 tracer.instant("spillover-probe", start_s, replica=index)
         current = index
         lane_offset_s = 0.0  # wall-clock burnt on failed attempts so far
-        wasted = Cost()  # physical cost of those failed attempts
+        wasted = ZERO_COST  # physical cost of those failed attempts
         retries = 0
         batch = None
         while True:
             pre_estimate = getattr(
                 self.replicas[current], "expected_query_latency_s", None
             )
-            if resilience is not None:
-                ctx.breaker(shard, current).take_probe()
-            ctx.begin_round(base_s + lane_offset_s)
+            if ctx is not None:
+                if resilience is not None:
+                    ctx.breaker(shard, current).take_probe()
+                ctx.begin_round(base_s + lane_offset_s)
             try:
                 batch = self.replicas[current].serve_batch(sub)
                 break
             except FaultError as fault:
-                if fault.kind == ERROR:
-                    # The replica did the work and returned garbage: the
-                    # caller pays the full serve latency to find out.
-                    detect_s = fault.cost.latency_s
-                    ctx.counters["error_hits"] += 1
-                else:
-                    # Crash/outage: silence, detected by timeout.
-                    detect_s = (
-                        resilience.attempt_timeout_s(pre_estimate, n)
-                        if resilience is not None
-                        else 0.0
-                    )
-                    ctx.counters["crash_hits"] += 1
+                # Only a planted fault hook raises, so ctx is attached.
+                detect_s = ctx.detection_s(fault, pre_estimate, n)
                 lane_offset_s += detect_s
                 wasted = wasted.then(
                     Cost(
@@ -544,10 +489,10 @@ class ReplicaGroup:
             # wasted energy is re-billed via the context; the lane's
             # occupancy is the time burnt detecting the failures.
             ctx.add_retry_cost(wasted)
-            lane_cost = Cost(energy_pj=0.0, latency_ns=lane_offset_s * 1e9)
+            failed = failed_batch_result(n, lane_offset_s)
             if tracer is not None:
-                tracer.close(start_s + lane_cost.latency_s)
-            return [failed_query_result() for _ in sub], lane_cost
+                tracer.close(start_s + failed.cost.latency_s)
+            return failed.results, failed.cost
 
         done_s = base_s + lane_offset_s + batch.cost.latency_s
         if resilience is not None:
@@ -618,7 +563,7 @@ class ReplicaGroup:
             )
         if tracer is not None:
             tracer.close(start_s + lane_cost.latency_s)
-        return list(batch.results), lane_cost
+        return batch.results, lane_cost
 
     def stats(self) -> Dict[str, object]:
         """Routing counters (per-replica load and spill volume)."""
@@ -642,7 +587,7 @@ class ShardedEngine:
     _obs = None
 
     #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no chaos: serve_batch takes the untouched fast path).
+    #: (None = no fault plane: no breakers, no fault clock).
     _faults = None
 
     def __init__(self, shards: Sequence[object], top_k: int):
@@ -650,6 +595,13 @@ class ShardedEngine:
             raise ValueError("need at least one shard")
         if top_k < 1:
             raise ValueError("top-k must be >= 1")
+        for shard in shards:
+            # The gather reserves top_k slots per shard: a longer ranked
+            # list would not fit its slice of the score matrix.
+            if shard.top_k > top_k:
+                raise ValueError(
+                    f"shard top-k {shard.top_k} exceeds the router top-k {top_k}"
+                )
         self.shards = list(shards)
         self.top_k = top_k
         # The platform merge model is a pure function of the gathered
@@ -696,11 +648,22 @@ class ShardedEngine:
         they sort last, and padding only inserts *gaps* into the
         shard-major entry numbering, so the stable tie-break reproduces
         the per-query ``(-score, entry index)`` merge order bit for bit.
+
+        Under an attached fault plane (``_faults``) replica-group shards
+        recover internally (retries/failover/hedges), bare shards go
+        dark past their deadline (:meth:`_serve_bare_shard`), and the
+        per-query construction downgrades: resilience ON merges the
+        survivors into a partial (degraded) answer and records the
+        recall loss, resilience OFF rejects any response missing a
+        corpus slice.  A dark shard contributes zero entries exactly like
+        an empty ranked list, so when nothing fires the merge is the
+        same arithmetic (the empty-plan bit-identity invariant).
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
-        if self._faults is not None:
-            return self._serve_batch_chaos(queries, self._faults)
+        ctx = self._faults
+        resilience = ctx.resilience if ctx is not None else None
+        round_s = ctx.attempt_time_s if ctx is not None else 0.0
         obs = self._obs
         tracer = obs.tracer if obs is not None else None
         traced = tracer is not None and tracer.active
@@ -718,10 +681,24 @@ class ShardedEngine:
                     shard=shard_index,
                     queries=len(queries),
                 )
-            shard_batch = shard.serve_batch(queries)
+            if ctx is None:
+                shard_batch = shard.serve_batch(queries)
+            else:
+                # Every shard's first attempt starts at the same round
+                # anchor (lanes advance it locally for their own
+                # retries/hedges).
+                ctx.begin_round(round_s)
+                if getattr(shard, "replicas", None) is not None:
+                    shard_batch = shard.serve_batch(queries)
+                else:
+                    shard_batch = self._serve_bare_shard(
+                        shard, shard_index, queries, ctx, round_s
+                    )
             if traced:
                 tracer.close(base_s + shard_batch.cost.latency_s)
             shard_batches.append(shard_batch)
+        if ctx is not None:
+            ctx.begin_round(round_s)
         # Shards are replicated fabrics running concurrently.
         scatter_cost = Cost.concurrent(batch.cost for batch in shard_batches)
 
@@ -730,177 +707,12 @@ class ShardedEngine:
         score_matrix = np.full((num_queries, width), -1.0)
         item_matrix = np.zeros((num_queries, width), dtype=np.int64)
         entry_counts = [0] * num_queries
+        dark_counts = [0] * num_queries
         for shard_index, batch in enumerate(shard_batches):
             base = shard_index * self.top_k
             for position, result in enumerate(batch.results):
-                length = len(result.scores)
-                score_matrix[position, base : base + length] = result.scores
-                item_matrix[position, base : base + length] = result.items
-                entry_counts[position] += length
-
-        order = np.argsort(-score_matrix, axis=1, kind="stable")[:, : self.top_k]
-        item_lists = np.take_along_axis(item_matrix, order, axis=1).tolist()
-        score_lists = np.take_along_axis(score_matrix, order, axis=1).tolist()
-
-        merged: List[QueryResult] = []
-        merge_total = Cost()
-        for position in range(num_queries):
-            per_shard = [batch.results[position] for batch in shard_batches]
-            num_entries = entry_counts[position]
-            merge_cost = self._merge_cost_for(num_entries)
-            merge_total = merge_total.then(merge_cost)
-
-            ledger = Ledger(name="sharded-query")
-            for result in per_shard:
-                ledger.extend(result.ledger)
-            ledger.charge("Merge", merge_cost)
-            per_query_cost = Cost.concurrent(
-                result.cost for result in per_shard
-            ).then(merge_cost)
-            take = min(self.top_k, num_entries)
-            merged.append(
-                QueryResult(
-                    items=item_lists[position][:take],
-                    candidate_count=sum(
-                        result.candidate_count for result in per_shard
-                    ),
-                    cost=per_query_cost,
-                    ledger=ledger,
-                    scores=score_lists[position][:take],
-                )
-            )
-        if traced:
-            merge_start_s = base_s + scatter_cost.latency_s
-            tracer.add(
-                "merge",
-                merge_start_s,
-                merge_start_s + merge_total.latency_s,
-                category="merge",
-                shards=len(self.shards),
-                entries=sum(entry_counts),
-                queries=num_queries,
-            )
-        return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
-
-    def merge_cost(self, num_entries: int) -> Cost:
-        """Expose the underlying platform's merge model (router nesting)."""
-        return _member_merge_cost(self.shards, num_entries)
-
-    def _serve_bare_shard_chaos(
-        self,
-        shard,
-        shard_index: int,
-        queries: Sequence[ServeQuery],
-        ctx,
-        round_s: float,
-    ) -> BatchResult:
-        """One unreplicated shard's scatter under the fault plane.
-
-        A bare shard has no peer to fail over to, so a faulted attempt
-        makes the whole shard dark for this batch: the caller waits the
-        shard deadline (or the error's own latency), bills the wasted
-        energy for re-billing, and the gather goes partial.  An open
-        breaker skips the attempt entirely -- the steady state while a
-        known-dead shard recovers.
-        """
-        resilience = ctx.resilience
-        if resilience is not None and not ctx.breaker(shard_index, 0).allow(
-            round_s
-        ):
-            return BatchResult(
-                results=[failed_query_result() for _ in queries], cost=Cost()
-            )
-        if resilience is not None:
-            ctx.breaker(shard_index, 0).take_probe()
-        estimate = getattr(shard, "expected_query_latency_s", None)
-        try:
-            batch = shard.serve_batch(queries)
-        except FaultError as fault:
-            if fault.kind == ERROR:
-                detect_s = fault.cost.latency_s
-                ctx.counters["error_hits"] += 1
-            else:
-                detect_s = (
-                    resilience.shard_deadline_s(estimate, len(queries))
-                    if resilience is not None
-                    else 0.0
-                )
-                ctx.counters["crash_hits"] += 1
-            failed_at_s = round_s + detect_s
-            if resilience is not None:
-                ctx.breaker(shard_index, 0).record_failure(failed_at_s)
-            ctx.record_event(
-                "shard-dark", failed_at_s, kind=fault.kind, shard=shard_index
-            )
-            ctx.add_retry_cost(
-                Cost(energy_pj=fault.cost.energy_pj, latency_ns=detect_s * 1e9)
-            )
-            return BatchResult(
-                results=[failed_query_result() for _ in queries],
-                cost=Cost(latency_ns=detect_s * 1e9),
-            )
-        if resilience is not None:
-            ctx.breaker(shard_index, 0).record_success(
-                round_s + batch.cost.latency_s
-            )
-        return batch
-
-    def _serve_batch_chaos(
-        self, queries: Sequence[ServeQuery], ctx
-    ) -> BatchResult:
-        """serve_batch under an attached fault plane.
-
-        The scatter and the padded single-argsort gather are arithmetic-
-        identical to the plain path (the empty-plan bit-identity
-        invariant: a failed shard contributes zero entries exactly like
-        an empty ranked list would).  On top of that: replica-group
-        shards recover internally (retries/failover/hedges), bare shards
-        go dark past their deadline, and the per-query construction
-        downgrades -- resilience ON merges the survivors into a partial
-        (degraded) answer and records the recall loss, resilience OFF
-        rejects any response missing a corpus slice.
-        """
-        resilience = ctx.resilience
-        round_s = ctx.attempt_time_s
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        base_s = tracer.cursor_s if traced else 0.0
-        shard_batches = []
-        for shard_index, shard in enumerate(self.shards):
-            if traced:
-                tracer.open(
-                    f"shard{shard_index}",
-                    base_s,
-                    category="serve",
-                    track=f"shard{shard_index}",
-                    shard=shard_index,
-                    queries=len(queries),
-                )
-            # Shards scatter concurrently: every shard's first attempt
-            # starts at the same round anchor (lanes advance it locally
-            # for their own retries/hedges).
-            ctx.begin_round(round_s)
-            if getattr(shard, "replicas", None) is not None:
-                shard_batch = shard.serve_batch(queries)
-            else:
-                shard_batch = self._serve_bare_shard_chaos(
-                    shard, shard_index, queries, ctx, round_s
-                )
-            if traced:
-                tracer.close(base_s + shard_batch.cost.latency_s)
-            shard_batches.append(shard_batch)
-        ctx.begin_round(round_s)
-        scatter_cost = Cost.concurrent(batch.cost for batch in shard_batches)
-
-        num_queries = len(queries)
-        width = len(self.shards) * self.top_k
-        score_matrix = np.full((num_queries, width), -1.0)
-        item_matrix = np.zeros((num_queries, width), dtype=np.int64)
-        entry_counts = [0] * num_queries
-        for shard_index, batch in enumerate(shard_batches):
-            base = shard_index * self.top_k
-            for position, result in enumerate(batch.results):
+                if result.failed:
+                    dark_counts[position] += 1
                 length = len(result.scores)
                 score_matrix[position, base : base + length] = result.scores
                 item_matrix[position, base : base + length] = result.items
@@ -915,8 +727,8 @@ class ShardedEngine:
         partial_queries = 0
         for position in range(num_queries):
             per_shard = [batch.results[position] for batch in shard_batches]
-            dark = sum(1 for result in per_shard if result.failed)
-            if dark == len(per_shard) or (dark and resilience is None):
+            dark = dark_counts[position]
+            if dark and (dark == len(per_shard) or resilience is None):
                 # Every slice dark -- or a strict resilience-off client
                 # that rejects responses missing part of the corpus.
                 merged.append(failed_query_result())
@@ -925,11 +737,9 @@ class ShardedEngine:
             merge_cost = self._merge_cost_for(num_entries)
             merge_total = merge_total.then(merge_cost)
 
+            # A dark shard's ledger is empty: extending is a no-op.
             ledger = Ledger(name="sharded-query")
             for result in per_shard:
-                # A dark shard's ledger is empty: extending is a no-op,
-                # so healthy queries fold bit-identically to the plain
-                # path.
                 ledger.extend(result.ledger)
             ledger.charge("Merge", merge_cost)
             per_query_cost = Cost.concurrent(
@@ -971,6 +781,55 @@ class ShardedEngine:
                 queries=num_queries,
             )
         return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
+
+    def merge_cost(self, num_entries: int) -> Cost:
+        """Expose the underlying platform's merge model (router nesting)."""
+        return _member_merge_cost(self.shards, num_entries)
+
+    def _serve_bare_shard(
+        self,
+        shard,
+        shard_index: int,
+        queries: Sequence[ServeQuery],
+        ctx,
+        round_s: float,
+    ) -> BatchResult:
+        """One unreplicated shard's scatter under the fault plane.
+
+        A bare shard has no peer to fail over to, so a faulted attempt
+        makes the whole shard dark for this batch: the caller waits the
+        shard deadline (or the error's own latency), bills the wasted
+        energy for re-billing, and the gather goes partial.  An open
+        breaker skips the attempt entirely -- the steady state while a
+        known-dead shard recovers.
+        """
+        breaker = (
+            ctx.breaker(shard_index, 0) if ctx.resilience is not None else None
+        )
+        if breaker is not None:
+            if not breaker.allow(round_s):
+                return failed_batch_result(len(queries))
+            breaker.take_probe()
+        estimate = getattr(shard, "expected_query_latency_s", None)
+        try:
+            batch = shard.serve_batch(queries)
+        except FaultError as fault:
+            detect_s = ctx.detection_s(
+                fault, estimate, len(queries), shard_deadline=True
+            )
+            failed_at_s = round_s + detect_s
+            if breaker is not None:
+                breaker.record_failure(failed_at_s)
+            ctx.record_event(
+                "shard-dark", failed_at_s, kind=fault.kind, shard=shard_index
+            )
+            ctx.add_retry_cost(
+                Cost(energy_pj=fault.cost.energy_pj, latency_ns=detect_s * 1e9)
+            )
+            return failed_batch_result(len(queries), detect_s)
+        if breaker is not None:
+            breaker.record_success(round_s + batch.cost.latency_s)
+        return batch
 
 
 def make_sharded_engine(

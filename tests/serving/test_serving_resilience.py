@@ -465,17 +465,27 @@ def _fleet(scores, query_index, num_items, num_shards, replicas, top_k, spillove
     replicas=st.integers(min_value=1, max_value=3),
     top_k=st.integers(min_value=1, max_value=6),
     spillover=st.booleans(),
+    resilience=st.sampled_from([None, ResilienceConfig()]),
     rounds=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**16),
 )
 @settings(max_examples=40)
 def test_empty_plan_wrapped_fleet_is_bit_identical(
-    num_items, num_queries, num_shards, replicas, top_k, spillover, rounds, seed
+    num_items,
+    num_queries,
+    num_shards,
+    replicas,
+    top_k,
+    spillover,
+    resilience,
+    rounds,
+    seed,
 ):
     """For ANY topology (shards x replicas, with or without cost-aware
-    spillover routing), attaching the fault plane with an EMPTY plan and
-    full resilience changes nothing: same items, same scores, same cost
-    floats, round after round."""
+    spillover routing), attaching the fault plane with an EMPTY plan --
+    with full resilience or as a strict resilience-off client -- changes
+    nothing: same items, same scores, same cost floats, round after
+    round."""
     num_shards = min(num_shards, num_items)
     top_k = min(top_k, num_items)
     rng = np.random.default_rng(seed)
@@ -493,7 +503,7 @@ def test_empty_plan_wrapped_fleet_is_bit_identical(
     wrapped = _fleet(
         scores, query_index, num_items, num_shards, replicas, top_k, spillover
     )
-    ctx = FaultContext(FaultPlan(()), resilience=ResilienceConfig())
+    ctx = FaultContext(FaultPlan(()), resilience=resilience)
     attach_faults(wrapped, ctx)
 
     for _ in range(rounds):
@@ -538,6 +548,53 @@ def test_empty_plan_session_is_bit_identical_end_to_end(
         {key: cost.energy_pj for key, cost in plain.ledger.by_category().items()}
     )
     assert not any(wrapped.fault_stats["counters"].values())
+
+
+@pytest.mark.parametrize("spillover", [False, True])
+def test_empty_plan_telemetry_exports_are_byte_identical(
+    serving_setup, _traffic, spillover
+):
+    """Over an empty plan the fault plane records nothing of its own: a
+    traced 2x2 fleet (two IMC replicas per shard, or one IMC primary plus
+    one GPU spillover replica) exports the same Chrome trace and the same
+    Prometheus text as the same fleet with no fault plane attached."""
+    from repro.obs import Telemetry, chrome_trace_events
+
+    requests, _ = _traffic
+    _, filtering, ranking, mapping, workload = serving_setup
+    batch_one_s = make_sharded_engine(
+        "imars", filtering, ranking, 1, mapping=mapping,
+        num_candidates=24, top_k=5, seed=0,
+    ).recommend_query(workload[0]).cost.latency_s
+
+    def export(faults):
+        engine = make_sharded_engine(
+            "imars", filtering, ranking, 2, mapping=mapping,
+            num_candidates=24, top_k=5, seed=0,
+            replicas_per_shard=1 if spillover else 2,
+            spillover_replicas_per_shard=1 if spillover else 0,
+            spillover_slo_s=2.0 * batch_one_s if spillover else None,
+        )
+        telemetry = Telemetry()
+        ServingSession(
+            engine, workload, label="chaos-test", telemetry=telemetry,
+            faults=faults,
+        ).run(requests)
+        return (
+            chrome_trace_events(telemetry.tracer),
+            telemetry.metrics.render_prometheus(),
+        )
+
+    plain_events, plain_metrics = export(None)
+    wrapped_events, wrapped_metrics = export(FaultPlan(()))
+    assert wrapped_events == plain_events
+    assert wrapped_metrics == plain_metrics
+    # The fleet really ran its replica lanes (and, with spillover, spilled).
+    spans = [event for event in plain_events if event.get("ph") == "X"]
+    assert any(event["name"] == "replica1" for event in spans)
+    if spillover:
+        assert any(event["args"].get("spill") for event in spans)
+    assert "repro_fault_events_total" not in wrapped_metrics
 
 
 # -- faulted runs are deterministic ---------------------------------------

@@ -160,11 +160,20 @@ class TestShardedEngine:
         assert batch.cost.latency_ns >= slowest
         assert batch.cost.energy_pj >= total_energy
 
-    def test_router_validation(self):
+    def test_router_validation(self, serving_setup):
         with pytest.raises(ValueError):
             ShardedEngine([], top_k=4)
         with pytest.raises(ValueError):
             make_sharded_engine("unknown", None, None, 1)
+        # Shards ranking more entries than the router keeps would overflow
+        # the gather's per-shard slice on the first serve_batch.
+        _, filtering, ranking, _, _ = serving_setup
+        for num_shards in (1, 2):
+            top5 = make_sharded_engine(
+                "gpu", filtering, ranking, num_shards, num_candidates=12, top_k=5
+            )
+            with pytest.raises(ValueError, match="top-k"):
+                ShardedEngine(top5.shards, top_k=3)
 
     def test_imars_requires_mapping(self, serving_setup):
         _, filtering, ranking, _, _ = serving_setup
