@@ -29,16 +29,13 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mapping import WorkloadMapping
 from repro.core.pipeline import ServeQuery
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.autoscaler import AutoscaleResult, Autoscaler, AutoscalerConfig
 from repro.serving.cache import ServingCache, TinyLFUAdmission
 from repro.serving.scheduler import AdaptiveBatchConfig, AdaptiveMicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.traffic import (
     BurstyTraffic,
     MultiTenantTraffic,
@@ -98,30 +95,20 @@ def run_autoscale_study(
     report = ExperimentReport(
         "E-AUTOSCALE", "Closed-loop autoscaler: shards x replicas vs p95 SLO"
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
+    corpus = ServingCorpus(
+        seed, params["scale"], params["num_candidates"], params["top_k"]
+    )
+    dataset, workload = corpus.dataset, corpus.workload
 
     # -- calibrate the operating point against one engine ----------------
-    probe_engine = make_sharded_engine(
-        "imars",
-        filtering,
-        ranking,
-        1,
-        mapping=mapping,
-        num_candidates=params["num_candidates"],
-        top_k=params["top_k"],
-        seed=seed,
-    )
-    batch_one_s = probe_engine.recommend_query(workload[0]).cost.latency_s
-    probe_batch = probe_engine.serve_batch(
-        [workload[user % len(workload)] for user in range(params["probe_batch_size"])]
-    )
-    batched_capacity_qps = params["probe_batch_size"] / probe_batch.cost.latency_s
+    batch_one_s, batched_capacity_qps = corpus.calibrate(params["probe_batch_size"])
     rate_qps = params["load_factor"] * batched_capacity_qps
     slo_ms = params["slo_factor"] * batch_one_s * 1e3
 
     # -- the traffic patterns the deployment is sized against ------------
-    tenant_b = build_serving_corpus(seed + 1, params["scale"])
+    tenant_b = ServingCorpus(
+        seed + 1, params["scale"], params["num_candidates"], params["top_k"]
+    )
     movielens_factor, criteo_factor = params["tenant_slo_factors"]
     tenant_slos_ms = {
         "movielens": movielens_factor * batch_one_s * 1e3,
@@ -142,7 +129,7 @@ def run_autoscale_study(
                 traffic=BurstyTraffic(
                     calm_qps=0.25 * rate_qps,
                     burst_qps=1.2 * rate_qps,
-                    num_users=tenant_b[0].num_users,
+                    num_users=tenant_b.dataset.num_users,
                     mean_calm_s=0.05,
                     mean_burst_s=0.02,
                     seed=seed,
@@ -177,7 +164,7 @@ def run_autoscale_study(
             workload,
             {},
         ),
-        ("multi-tenant", mixed_traffic, workload + tenant_b[3], tenant_slos_ms),
+        ("multi-tenant", mixed_traffic, workload + tenant_b.workload, tenant_slos_ms),
     ]
 
     # -- one closed loop per pattern -------------------------------------
@@ -198,17 +185,7 @@ def run_autoscale_study(
             cache_capacity=cache_capacity,
             name=name,
         ) -> ServingResult:
-            engine = make_sharded_engine(
-                "imars",
-                filtering,
-                ranking,
-                shards,
-                mapping=mapping,
-                num_candidates=params["num_candidates"],
-                top_k=params["top_k"],
-                seed=seed,
-                replicas_per_shard=replicas,
-            )
+            engine = corpus.fleet("imars", shards, replicas)
             scheduler = AdaptiveMicroBatchScheduler(
                 AdaptiveBatchConfig(
                     target_p95_s=slo_ms / 1e3,

@@ -35,16 +35,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.mapping import WorkloadMapping
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.cache import ServingCache
 from repro.serving.faults import FaultPlan, escalating_scenarios
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.traffic import PoissonTraffic
 
 __all__ = ["run_chaos_study", "CHAOS_STUDY_DEFAULTS"]
@@ -140,41 +137,14 @@ def run_chaos_study(
         "E-CHAOS",
         "Fault injection: self-healing fleet vs resilience-off",
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
+    corpus = ServingCorpus(seed, params["scale"], params["num_candidates"], top_k)
+    dataset, workload = corpus.dataset, corpus.workload
     num_shards = params["num_shards"]
     replicas = params["replicas_per_shard"]
 
-    def build_fleet():
-        return make_sharded_engine(
-            "imars",
-            filtering,
-            ranking,
-            num_shards,
-            mapping=mapping,
-            num_candidates=params["num_candidates"],
-            top_k=top_k,
-            seed=seed,
-            replicas_per_shard=replicas,
-        )
-
     # -- calibrate the operating point against one IMC engine ------------
-    probe = make_sharded_engine(
-        "imars",
-        filtering,
-        ranking,
-        1,
-        mapping=mapping,
-        num_candidates=params["num_candidates"],
-        top_k=top_k,
-        seed=seed,
-    )
-    batch_one_s = probe.recommend_query(workload[0]).cost.latency_s
-    probe_batch = probe.serve_batch(
-        [workload[user % len(workload)] for user in range(params["probe_batch_size"])]
-    )
-    capacity_qps = params["probe_batch_size"] / probe_batch.cost.latency_s
+    batch_one_s, capacity_qps = corpus.calibrate(params["probe_batch_size"])
     rate_qps = params["load_factor"] * capacity_qps
     slo_s = params["slo_factor"] * batch_one_s
     cache_capacity = max(4, dataset.num_users // params["cache_fraction"])
@@ -201,7 +171,7 @@ def run_chaos_study(
 
     def run_arm(label: str, faults=None, shields=None) -> ServingResult:
         session = ServingSession(
-            build_fleet(),
+            corpus.fleet("imars", num_shards, replicas),
             workload,
             scheduler=MicroBatchScheduler(scheduler_config),
             cache=ServingCache(capacity=cache_capacity, rows_per_entry=top_k),

@@ -12,52 +12,89 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.mapping import WorkloadMapping
 from repro.core.pipeline import ServeQuery
-from repro.data.movielens import MovieLensDataset
+from repro.data.movielens import MovieLensDataset, movielens_table_specs
 from repro.models.youtube_dnn import (
     YouTubeDNNConfig,
     YouTubeDNNFiltering,
     YouTubeDNNRanking,
 )
+from repro.serving.shard import ShardedEngine, make_sharded_engine
 
 __all__ = [
     "PaperComparison",
     "ExperimentReport",
-    "build_serving_corpus",
+    "ServingCorpus",
     "relative_error",
     "seeded_rng",
 ]
 
 
-def build_serving_corpus(
-    seed: int, scale: float
-) -> Tuple[
-    MovieLensDataset, YouTubeDNNFiltering, YouTubeDNNRanking, List[ServeQuery]
-]:
-    """One serving study's corpus: ``(dataset, filtering, ranking, workload)``.
+class ServingCorpus:
+    """One serving study's corpus and the fleets it builds over it.
 
     A synthetic MovieLens at ``scale``, seeded *untrained* YouTubeDNN
     filtering and ranking models (serving behaviour -- scheduling,
     sharding, caching, cost accounting -- does not depend on embedding
-    quality), and ``workload[u]``, the query user ``u`` issues.
+    quality), ``workload[u]``, the query user ``u`` issues, and the
+    MovieLens mapping, candidate budget, top-k and seed every fleet of
+    the study shares.
     """
-    dataset = MovieLensDataset(scale=scale, seed=seed)
-    config = YouTubeDNNConfig(
-        num_items=dataset.num_items,
-        demographic_cardinalities=(dataset.num_users, 3, 7, 21, 450),
-        seed=seed,
-    )
-    filtering = YouTubeDNNFiltering(config)
-    ranking = YouTubeDNNRanking(config)
-    workload = [
-        ServeQuery.make(
-            dataset.histories[user],
-            dataset.demographics[user],
-            dataset.ranking_context[user],
+
+    def __init__(self, seed: int, scale: float, num_candidates: int, top_k: int):
+        self.seed = seed
+        self.num_candidates = num_candidates
+        self.top_k = top_k
+        self.dataset = MovieLensDataset(scale=scale, seed=seed)
+        config = YouTubeDNNConfig(
+            num_items=self.dataset.num_items,
+            demographic_cardinalities=(self.dataset.num_users, 3, 7, 21, 450),
+            seed=seed,
         )
-        for user in range(dataset.num_users)
-    ]
-    return dataset, filtering, ranking, workload
+        self.filtering = YouTubeDNNFiltering(config)
+        self.ranking = YouTubeDNNRanking(config)
+        self.mapping = WorkloadMapping(movielens_table_specs())
+        self.workload = [
+            ServeQuery.make(
+                self.dataset.histories[user],
+                self.dataset.demographics[user],
+                self.dataset.ranking_context[user],
+            )
+            for user in range(self.dataset.num_users)
+        ]
+
+    def fleet(
+        self, kind: str, shards: int = 1, replicas: int = 1, **options
+    ) -> ShardedEngine:
+        """A fresh ``kind`` ('imars' or 'gpu') fleet of ``shards`` x
+        ``replicas``; ``options`` go to
+        :func:`~repro.serving.shard.make_sharded_engine` (spillover)."""
+        return make_sharded_engine(
+            kind,
+            self.filtering,
+            self.ranking,
+            shards,
+            mapping=self.mapping if kind == "imars" else None,
+            num_candidates=self.num_candidates,
+            top_k=self.top_k,
+            seed=self.seed,
+            replicas_per_shard=replicas,
+            **options,
+        )
+
+    def calibrate(self, probe_batch_size: int) -> Tuple[float, float]:
+        """``(batch_one_s, capacity_qps)`` of one fresh iMARS engine: its
+        batch-1 latency, then its throughput on one batch of the first
+        ``probe_batch_size`` users' queries -- the operating point the
+        studies scale their load and SLOs by."""
+        workload = self.workload
+        probe = self.fleet("imars")
+        batch_one_s = probe.recommend_query(workload[0]).cost.latency_s
+        probe_batch = probe.serve_batch(
+            [workload[user % len(workload)] for user in range(probe_batch_size)]
+        )
+        return batch_one_s, probe_batch_size / probe_batch.cost.latency_s
 
 
 def seeded_rng(seed: int, stream: int = 0) -> np.random.Generator:

@@ -43,9 +43,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.mapping import WorkloadMapping
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.cache import RepetitionAwareCache, ServingCache
 from repro.serving.execution import (
@@ -57,7 +55,6 @@ from repro.serving.execution import (
 from repro.serving.pricing import PriceBook
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.traffic import BurstyTraffic, DiurnalTraffic
 from repro.serving.workload_analyzer import (
     analyze_trace,
@@ -119,39 +116,13 @@ def run_cost_study(
         "E-COST",
         "Dollar-cost execution models (eager/lazy/hybrid) + workload analyzer",
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
+    corpus = ServingCorpus(seed, params["scale"], params["num_candidates"], top_k)
+    dataset, workload = corpus.dataset, corpus.workload
     num_shards = params["num_shards"]
 
-    def build_fleet():
-        return make_sharded_engine(
-            "imars",
-            filtering,
-            ranking,
-            num_shards,
-            mapping=mapping,
-            num_candidates=params["num_candidates"],
-            top_k=top_k,
-            seed=seed,
-        )
-
     # -- calibrate the operating point against one IMC engine ------------
-    probe = make_sharded_engine(
-        "imars",
-        filtering,
-        ranking,
-        1,
-        mapping=mapping,
-        num_candidates=params["num_candidates"],
-        top_k=top_k,
-        seed=seed,
-    )
-    batch_one_s = probe.recommend_query(workload[0]).cost.latency_s
-    probe_batch = probe.serve_batch(
-        [workload[user % len(workload)] for user in range(params["probe_batch_size"])]
-    )
-    capacity_qps = params["probe_batch_size"] / probe_batch.cost.latency_s
+    batch_one_s, capacity_qps = corpus.calibrate(params["probe_batch_size"])
     rate_qps = params["load_factor"] * capacity_qps
     expected_duration_s = params["num_requests"] / rate_qps
     cache_capacity = max(4, dataset.num_users // params["cache_fraction"])
@@ -193,7 +164,7 @@ def run_cost_study(
                     capacity=cache_capacity, rows_per_entry=top_k
                 )
             return ServingSession(
-                build_fleet(),
+                corpus.fleet("imars", num_shards),
                 workload,
                 scheduler=MicroBatchScheduler(scheduler_config),
                 cache=cache,

@@ -54,9 +54,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.mapping import WorkloadMapping
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.autoscaler import (
     Autoscaler,
@@ -74,7 +72,6 @@ from repro.serving.forecast import (
 from repro.serving.pricing import PriceBook
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.slo import slo_violation_windows
 from repro.serving.traffic import BurstyTraffic, DiurnalTraffic, PoissonTraffic
 
@@ -171,22 +168,13 @@ def run_forecast_study(
         "E-FORECAST",
         "Forecast-driven predictive autoscaling: reactive vs predictive vs oracle",
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
-    top_k = params["top_k"]
+    corpus = ServingCorpus(
+        seed, params["scale"], params["num_candidates"], params["top_k"]
+    )
+    dataset, workload = corpus.dataset, corpus.workload
 
     def factory(shards: int, replicas: int):
-        return make_sharded_engine(
-            "imars",
-            filtering,
-            ranking,
-            shards,
-            mapping=mapping,
-            num_candidates=params["num_candidates"],
-            top_k=top_k,
-            seed=seed,
-            replicas_per_shard=replicas,
-        )
+        return corpus.fleet("imars", shards, replicas)
 
     # -- calibrate: capacity + energy per candidate deployment ------------
     probe_queries = [
@@ -461,20 +449,8 @@ def run_forecast_study(
                     spillover_replicas_per_shard=spillover,
                     spillover_slo_s=hetero_slo_s,
                 )
-            engine = make_sharded_engine(
-                "imars",
-                filtering,
-                ranking,
-                shards,
-                mapping=mapping,
-                num_candidates=params["num_candidates"],
-                top_k=top_k,
-                seed=seed,
-                replicas_per_shard=replicas,
-                **kwargs,
-            )
             session = ServingSession(
-                engine,
+                corpus.fleet("imars", shards, replicas, **kwargs),
                 workload,
                 scheduler=MicroBatchScheduler(hetero_scheduler),
                 label=f"forecast hetero s={shards} r={replicas} g={spillover}",

@@ -47,16 +47,13 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.mapping import WorkloadMapping
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.autoscaler import OnlineScaler, OnlineScalerConfig
 from repro.serving.cache import ServingCache, TinyLFUAdmission
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.traffic import (
     BurstyTraffic,
     MultiTenantTraffic,
@@ -127,54 +124,12 @@ def run_hetero_study(
         "E-HETERO",
         "Heterogeneous fleet: IMC+GPU spillover, live scaling, admission",
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
     top_k = params["top_k"]
-
-    def build_fleet(kind: str, shards: int = 1, replicas: int = 1, slo_s=None):
-        if kind == "spillover":
-            return make_sharded_engine(
-                "imars",
-                filtering,
-                ranking,
-                shards,
-                mapping=mapping,
-                num_candidates=params["num_candidates"],
-                top_k=top_k,
-                seed=seed,
-                replicas_per_shard=replicas,
-                spillover_replicas_per_shard=1,
-                spillover_slo_s=slo_s,
-                spill_headroom=params["spill_headroom"],
-            )
-        return make_sharded_engine(
-            kind,
-            filtering,
-            ranking,
-            shards,
-            mapping=mapping if kind == "imars" else None,
-            num_candidates=params["num_candidates"],
-            top_k=top_k,
-            seed=seed,
-            replicas_per_shard=replicas,
-        )
+    corpus = ServingCorpus(seed, params["scale"], params["num_candidates"], top_k)
+    dataset, workload = corpus.dataset, corpus.workload
 
     # -- calibrate the operating point against one IMC engine ------------
-    probe = make_sharded_engine(
-        "imars",
-        filtering,
-        ranking,
-        1,
-        mapping=mapping,
-        num_candidates=params["num_candidates"],
-        top_k=top_k,
-        seed=seed,
-    )
-    batch_one_s = probe.recommend_query(workload[0]).cost.latency_s
-    probe_batch = probe.serve_batch(
-        [workload[user % len(workload)] for user in range(params["probe_batch_size"])]
-    )
-    capacity_qps = params["probe_batch_size"] / probe_batch.cost.latency_s
+    batch_one_s, capacity_qps = corpus.calibrate(params["probe_batch_size"])
     rate_qps = params["load_factor"] * capacity_qps
     slo_s = params["slo_factor"] * batch_one_s
     slo_ms = slo_s * 1e3
@@ -210,9 +165,14 @@ def run_hetero_study(
     )
     requests = traffic.generate(params["frontier_requests"])
     fleets = {
-        "imc-only": build_fleet("imars"),
-        "gpu-only": build_fleet("gpu"),
-        "spillover": build_fleet("spillover", slo_s=slo_s),
+        "imc-only": corpus.fleet("imars"),
+        "gpu-only": corpus.fleet("gpu"),
+        "spillover": corpus.fleet(
+            "imars",
+            spillover_replicas_per_shard=1,
+            spillover_slo_s=slo_s,
+            spill_headroom=params["spill_headroom"],
+        ),
     }
     frontier: Dict[str, ServingResult] = {}
     for name, engine in fleets.items():
@@ -265,17 +225,7 @@ def run_hetero_study(
     max_shards, max_replicas = params["scaler_bounds"]
 
     def engine_factory(shards: int, replicas: int):
-        return make_sharded_engine(
-            "imars",
-            filtering,
-            ranking,
-            shards,
-            mapping=mapping,
-            num_candidates=params["num_candidates"],
-            top_k=top_k,
-            seed=seed,
-            replicas_per_shard=replicas,
-        )
+        return corpus.fleet("imars", shards, replicas)
 
     def run_burst(label: str, scaler) -> ServingResult:
         session = ServingSession(
@@ -370,7 +320,7 @@ def run_hetero_study(
         # No result cache here: the overload act models the worst case
         # (cold, distinct traffic) where the scaling ceiling truly binds.
         session = ServingSession(
-            build_fleet("imars", shards=max_shards, replicas=max_replicas),
+            corpus.fleet("imars", max_shards, max_replicas),
             mix_workload,
             scheduler=MicroBatchScheduler(scheduler_config),
             cache=None,

@@ -25,15 +25,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.mapping import WorkloadMapping
 from repro.core.pipeline import ServeQuery
-from repro.data.movielens import movielens_table_specs
-from repro.experiments.common import ExperimentReport, build_serving_corpus
+from repro.experiments.common import ExperimentReport, ServingCorpus
 from repro.obs import Telemetry
 from repro.serving.cache import ServingCache
 from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingResult, ServingSession
-from repro.serving.shard import make_sharded_engine
 from repro.serving.slo import SLOReport
 from repro.serving.traffic import (
     BurstyTraffic,
@@ -129,22 +126,15 @@ def run_serving_study(
     report = ExperimentReport(
         "E-SERVE", "Online serving: tail latency, sharding, caching"
     )
-    dataset, filtering, ranking, workload = build_serving_corpus(seed, params["scale"])
-    mapping = WorkloadMapping(movielens_table_specs())
-
-    engines: Dict[Tuple[str, int], object] = {}
-    for kind in ("imars", "gpu"):
-        for shards in params["shard_counts"]:
-            engines[(kind, shards)] = make_sharded_engine(
-                kind,
-                filtering,
-                ranking,
-                shards,
-                mapping=mapping if kind == "imars" else None,
-                num_candidates=params["num_candidates"],
-                top_k=params["top_k"],
-                seed=seed,
-            )
+    corpus = ServingCorpus(
+        seed, params["scale"], params["num_candidates"], params["top_k"]
+    )
+    dataset, workload = corpus.dataset, corpus.workload
+    engines: Dict[Tuple[str, int], object] = {
+        (kind, shards): corpus.fleet(kind, shards)
+        for kind in ("imars", "gpu")
+        for shards in params["shard_counts"]
+    }
 
     # Offered load: a fixed fraction of the GPU's batch-1 capacity, so both
     # platforms face identical traffic at a GPU-stressing operating point.

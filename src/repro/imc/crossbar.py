@@ -140,5 +140,7 @@ class CrossbarArray:
         max_abs = float(np.abs(values).max())
         if max_abs == 0.0:
             return values
-        step = max_abs / levels
+        # Floor the step so subnormal outputs cannot underflow it to 0.0
+        # (which would turn the division into NaN).
+        step = max(max_abs / levels, np.finfo(np.float64).tiny)
         return np.round(values / step) * step

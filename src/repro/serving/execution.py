@@ -89,41 +89,14 @@ class ExecutionOutcome:
         )
 
 
-class LazyExecutionModel:
-    """Compute on demand; the cache alone exploits repetition."""
+class _ExecutionModel:
+    """Build a fresh session, warm the users :meth:`plan` picks, run it."""
 
-    name = "lazy"
-
-    def execute(
-        self,
-        session_factory: SessionFactory,
-        requests: Sequence[Request],
-        history: Optional[Sequence[Request]] = None,
-    ) -> ExecutionOutcome:
-        session = session_factory()
-        return ExecutionOutcome(self.name, session.run(requests))
-
-
-class EagerExecutionModel:
-    """Precompute the traffic head off-peak, serve it from cache.
-
-    ``traffic_fraction`` sets how much of the predicted traffic the
-    precomputed head should cover (the knee of the Zipf curve decides
-    how many users that takes).
-    """
-
-    name = "eager"
-
-    def __init__(self, traffic_fraction: float = 0.75):
-        if not 0.0 < traffic_fraction <= 1.0:
-            raise ValueError(
-                f"traffic fraction must be in (0, 1], got {traffic_fraction}"
-            )
-        self.traffic_fraction = traffic_fraction
+    name = ""
 
     def plan(self, history: Sequence[Request]) -> List[int]:
-        """The users to precompute, most traffic first."""
-        return hot_users(history, self.traffic_fraction)
+        """The users to precompute before the run (none by default)."""
+        return []
 
     def execute(
         self,
@@ -144,7 +117,35 @@ class EagerExecutionModel:
         return ExecutionOutcome(self.name, session.run(requests), tuple(planned))
 
 
-class HybridExecutionModel:
+class LazyExecutionModel(_ExecutionModel):
+    """Compute on demand; the cache alone exploits repetition."""
+
+    name = "lazy"
+
+
+class EagerExecutionModel(_ExecutionModel):
+    """Precompute the traffic head off-peak, serve it from cache.
+
+    ``traffic_fraction`` sets how much of the predicted traffic the
+    precomputed head should cover (the knee of the Zipf curve decides
+    how many users that takes).
+    """
+
+    name = "eager"
+
+    def __init__(self, traffic_fraction: float = 0.75):
+        if not 0.0 < traffic_fraction <= 1.0:
+            raise ValueError(
+                f"traffic fraction must be in (0, 1], got {traffic_fraction}"
+            )
+        self.traffic_fraction = traffic_fraction
+
+    def plan(self, history: Sequence[Request]) -> List[int]:
+        """The users to precompute, most traffic first."""
+        return hot_users(history, self.traffic_fraction)
+
+
+class HybridExecutionModel(_ExecutionModel):
     """Precompute only users whose predicted recurrence clears a threshold.
 
     A user requested ``n`` times in the planning trace has empirical
@@ -175,22 +176,6 @@ class HybridExecutionModel:
         ]
         recurring.sort(key=lambda pair: (-pair[1], pair[0]))
         return [user for user, _ in recurring]
-
-    def execute(
-        self,
-        session_factory: SessionFactory,
-        requests: Sequence[Request],
-        history: Optional[Sequence[Request]] = None,
-    ) -> ExecutionOutcome:
-        session = session_factory()
-        planned = self.plan(requests if history is None else history)
-        if session.cache is not None:
-            planned = planned[: session.cache.capacity]
-            if planned:
-                session.warm(planned)
-        else:
-            planned = []
-        return ExecutionOutcome(self.name, session.run(requests), tuple(planned))
 
 
 #: Model name -> zero-argument default construction, the dispatch table

@@ -41,7 +41,7 @@ join the two planes row for row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.energy.accounting import Cost, Ledger
 

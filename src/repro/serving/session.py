@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import ServeQuery
+from repro.core.pipeline import QueryResult, ServeQuery
 from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S
 from repro.obs.telemetry import Telemetry, attach_telemetry
@@ -123,6 +123,10 @@ class ServingResult:
         return summarize_tenants(self.records, self.ledger, label=self.label)
 
 
+#: A cached answer: (items, scores).
+_Cached = Tuple[Tuple[int, ...], Tuple[float, ...]]
+
+
 def _primary_engine(engine) -> object:
     """Descend routers (shards[0] / replicas[0]) to a concrete engine."""
     seen = 0
@@ -147,6 +151,265 @@ def _collect_spill(engine) -> Tuple[int, int]:
             spilled += group.spilled
             assigned += sum(group.assigned)
     return spilled, assigned
+
+
+class _RunObserver:
+    """Every span, bound metric series and end-of-run gauge of one run.
+
+    :meth:`ServingSession.run` reports each stage here unconditionally.
+    Without telemetry every hook returns at once; with a disabled bundle
+    only the tracer's batch bookkeeping runs (its export records
+    ``seen_batches``).  Observation only: nothing here charges a ledger
+    or feeds back into a serve-path decision.
+    """
+
+    #: Serve-path stages with latency/energy series.  Binding is lazy
+    #: (no series until the first observation), so a zero-fault run's
+    #: export has no "retry"/"hedge" series and stays byte-identical to
+    #: a run without a fault plane.
+    _STAGES = (
+        "queue", "cache_lookup", "engine", "cache_fill", "migration", "retry", "hedge"
+    )
+
+    def __init__(self, telemetry: Optional[Telemetry], process: str):
+        self.process = process
+        self.tracer = telemetry.tracer if telemetry is not None else None
+        enabled = telemetry is not None and telemetry.enabled
+        self.metrics = telemetry.metrics if enabled else None
+        self.traced = False  # is the current batch sampled?
+        self._batch_index = 0
+        if self.metrics is None:
+            return
+        self.tracer.set_process(process)
+        metrics = self.metrics
+        # Bind the hot-loop series once: the label set of every
+        # per-batch observation is known here, and label-key hashing per
+        # call is most of what observing would otherwise cost.
+        self._batches = metrics.counter(
+            "repro_batches_total", "Dispatched micro-batches."
+        ).bind(process=process)
+        cache = metrics.counter(
+            "repro_cache_lookups_total", "Result-cache lookups, by result."
+        )
+        self._cache_hit = cache.bind(process=process, result="hit")
+        self._cache_miss = cache.bind(process=process, result="miss")
+        self._batch_size = metrics.histogram(
+            "repro_batch_size",
+            "Requests per dispatched micro-batch.",
+            BATCH_SIZE_BUCKETS,
+        ).bind(process=process)
+        self._queue_depth = metrics.histogram(
+            "repro_queue_depth",
+            "Backlog (arrived, unserved requests) at batch dispatch.",
+            BATCH_SIZE_BUCKETS,
+        ).bind(process=process)
+        stage_latency = metrics.histogram(
+            "repro_stage_latency_seconds",
+            "Serve-path latency by stage.",
+            LATENCY_BUCKETS_S,
+        )
+        stage_energy = metrics.counter(
+            "repro_stage_energy_pj", "Serve-path energy by stage."
+        )
+        self._stage_latency = {
+            stage: stage_latency.bind(process=process, stage=stage)
+            for stage in self._STAGES
+        }
+        self._stage_energy = {
+            stage: stage_energy.bind(process=process, stage=stage)
+            for stage in self._STAGES
+        }
+        requests = metrics.counter(
+            "repro_requests_total", "Requests ruled on, by outcome."
+        )
+        self._requests = {
+            outcome: requests.bind(process=process, outcome=outcome)
+            for outcome in ("served", "degraded", "shed", "failed")
+        }
+        request_latency = metrics.histogram(
+            "repro_request_latency_seconds",
+            "End-to-end request latency, by outcome.",
+            LATENCY_BUCKETS_S,
+        )
+        self._request_latency = {
+            outcome: request_latency.bind(process=process, outcome=outcome)
+            for outcome in ("served", "degraded", "failed")
+        }
+
+    def _stage(self, stage: str, cost: Cost) -> None:
+        """One stage's latency and energy."""
+        if self.metrics is not None:
+            self._stage_latency[stage].observe(cost.latency_s)
+            self._stage_energy[stage].inc(cost.energy_pj)
+
+    def _finished(
+        self, name: str, category: str, start_s: float, cost: Cost, **attrs: object
+    ) -> None:
+        """A stage that ran from ``start_s`` for ``cost``: its span (in a
+        sampled batch) and its series ("cache-fill" -> "cache_fill")."""
+        if self.traced:
+            self.tracer.add(
+                name,
+                start_s,
+                start_s + cost.latency_s,
+                category=category,
+                **attrs,
+                energy_pj=cost.energy_pj,
+            )
+        self._stage(name.replace("-", "_"), cost)
+
+    def begin_batch(self, batch: Batch) -> None:
+        tracer = self.tracer
+        if tracer is None:
+            return
+        self.traced = tracer.start_batch(self._batch_index)
+        if self.traced:
+            # Root span: first member's arrival (members are taken in
+            # arrival order) through end of engine occupancy.
+            tracer.open(
+                "batch",
+                batch.requests[0].arrival_s,
+                category="serve",
+                track="main",
+                batch_index=self._batch_index,
+                size=len(batch.requests),
+                queue_depth=batch.queue_depth,
+            )
+            tracer.add(
+                "queue",
+                batch.open_s,
+                batch.dispatch_s,
+                category="queue",
+                waiting=len(batch.requests),
+                queue_depth=batch.queue_depth,
+            )
+        self._batch_index += 1
+        if self.metrics is not None:
+            self._batches.inc()
+            self._batch_size.observe(len(batch.requests))
+            self._queue_depth.observe(batch.queue_depth)
+            self._stage_latency["queue"].observe(batch.dispatch_s - batch.open_s)
+
+    def admission(self, at_s: float, outcomes: List[str]) -> None:
+        if self.traced:
+            self.tracer.add(
+                "admission",
+                at_s,
+                at_s,
+                category="admission",
+                accepted=outcomes.count(ACCEPT),
+                degraded=outcomes.count(DEGRADE),
+                shed=outcomes.count(SHED),
+            )
+
+    def cache_lookup(self, at_s: float, lookups: int, hits: int, cost: Cost) -> None:
+        self._finished("cache-lookup", "cache", at_s, cost, lookups=lookups, hits=hits)
+        if self.metrics is not None:
+            self._cache_hit.inc(hits)
+            self._cache_miss.inc(lookups - hits)
+
+    def engine_open(self, start_s: float, queries: int, deduplicated: int) -> None:
+        if self.traced:
+            self.tracer.open(
+                "engine",
+                start_s,
+                category="serve",
+                queries=queries,
+                deduplicated=deduplicated,
+            )
+
+    def engine_close(self, start_s: float, cost: Cost) -> None:
+        if self.traced:
+            self.tracer.close(start_s + cost.latency_s, energy_pj=cost.energy_pj)
+        self._stage("engine", cost)
+
+    def recovery(self, category: str, cost: Cost) -> None:
+        """Retry or hedge work re-billed under ledger ``category``."""
+        self._stage(category.lower(), cost)
+
+    def cache_fill(self, start_s: float, fills: int, cost: Cost) -> None:
+        self._finished("cache-fill", "cache", start_s, cost, fills=fills)
+
+    def requests(self, records: List[RequestRecord]) -> None:
+        """One span and one outcome count per request of the batch."""
+        traced = self.traced
+        if not traced and self.metrics is None:
+            return
+        for record in records:
+            outcome = (
+                "shed"
+                if record.shed
+                else "failed"
+                if record.failed
+                else "degraded"
+                if record.degraded
+                else "served"
+            )
+            if traced:
+                request = record.request
+                self.tracer.add(
+                    "request",
+                    request.arrival_s,
+                    record.completion_s,
+                    category="serve",
+                    track="requests",
+                    request_id=request.request_id,
+                    user=request.user,
+                    tenant=request.tenant,
+                    outcome=outcome,
+                    cache_hit=record.cache_hit,
+                )
+            if self.metrics is not None:
+                self._requests[outcome].inc()
+                if not record.shed:
+                    self._request_latency[outcome].observe(record.latency_s)
+
+    def migration(self, start_s: float, cost: Cost) -> None:
+        self._finished("migration", "control", start_s, cost)
+
+    def end_batch(self, end_s: float) -> None:
+        if self.traced:
+            self.tracer.close(end_s)
+        if self.tracer is not None:
+            self.tracer.end_batch()
+
+    def end_run(self, result: ServingResult) -> None:
+        """Join the aggregate plane against the run's ledgers and counters,
+        so the exported textfile can never disagree with the report."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        process = self.process
+        metrics.record_ledger(result.ledger, process=process)
+        if result.price_ledger is not None:
+            metrics.record_price_ledger(result.price_ledger, process=process)
+        if result.cache_stats is not None:
+            cache_gauge = metrics.gauge(
+                "repro_cache_state", "Result-cache counters at end of run."
+            )
+            for key, value in result.cache_stats.items():
+                cache_gauge.set(float(value), process=process, counter=key)
+        if result.spill_stats is not None:
+            spill_gauge = metrics.gauge(
+                "repro_spillover_state", "Spillover routing at end of run."
+            )
+            for key in ("assigned", "spilled", "spill_rate"):
+                spill_gauge.set(
+                    float(result.spill_stats[key]), process=process, counter=key
+                )
+        faults = result.fault_stats
+        if faults is not None and (
+            any(faults["counters"].values()) or faults["retries_used"]
+        ):
+            # Created only when a fault actually fired, so a run over an
+            # empty plan exports byte-identical telemetry.
+            fault_gauge = metrics.gauge(
+                "repro_fault_state", "Fault-plane counters at end of run."
+            )
+            for key, value in faults["counters"].items():
+                fault_gauge.set(float(value), process=process, counter=key)
+            for key in ("retries_used", "recall_loss"):
+                fault_gauge.set(float(faults[key]), process=process, counter=key)
 
 
 class ServingSession:
@@ -379,7 +642,14 @@ class ServingSession:
         }
 
     def run(self, requests: Sequence[Request]) -> ServingResult:
-        """Drive the scheduler over ``requests`` and collect the records."""
+        """Drive the scheduler over ``requests`` and collect the records.
+
+        Each dispatched batch passes the stages in request order:
+        :meth:`_admit`, :meth:`_flush_fault_caches`, :meth:`_lookup`,
+        :meth:`_serve_misses`, :meth:`_build_records`, then
+        :meth:`_drain_migration` around the scaler's turn.  Every
+        serve-path span and metric goes through one :class:`_RunObserver`.
+        """
         ledger = Ledger(name=self.label)
         if self._warm_cost.energy_pj > 0.0 or self._warm_cost.latency_ns > 0.0:
             # One-time work: charge it to this run only, not to every
@@ -390,483 +660,45 @@ class ServingSession:
         # A scale_to issued between runs queued its migration for this
         # run's ledger, so this run also reports its event.
         run_events_start = self._reported_events
-
-        telemetry = self.telemetry
-        observing = telemetry is not None and telemetry.enabled
-        tracer = telemetry.tracer if telemetry is not None else None
-        if observing:
-            tracer.set_process(self.label)
-            metrics = telemetry.metrics
-            m_batches = metrics.counter(
-                "repro_batches_total", "Dispatched micro-batches."
-            )
-            m_requests = metrics.counter(
-                "repro_requests_total", "Requests ruled on, by outcome."
-            )
-            m_cache = metrics.counter(
-                "repro_cache_lookups_total", "Result-cache lookups, by result."
-            )
-            m_batch_size = metrics.histogram(
-                "repro_batch_size",
-                "Requests per dispatched micro-batch.",
-                BATCH_SIZE_BUCKETS,
-            )
-            m_queue_depth = metrics.histogram(
-                "repro_queue_depth",
-                "Backlog (arrived, unserved requests) at batch dispatch.",
-                BATCH_SIZE_BUCKETS,
-            )
-            m_stage_latency = metrics.histogram(
-                "repro_stage_latency_seconds",
-                "Serve-path latency by stage.",
-                LATENCY_BUCKETS_S,
-            )
-            m_stage_energy = metrics.counter(
-                "repro_stage_energy_pj", "Serve-path energy by stage."
-            )
-            m_request_latency = metrics.histogram(
-                "repro_request_latency_seconds",
-                "End-to-end request latency, by outcome.",
-                LATENCY_BUCKETS_S,
-            )
-            # Bind the hot-loop series once: the label set of every
-            # per-batch observation is known here, and label-key hashing
-            # per call is most of what tracing would otherwise cost.
-            b_batches = m_batches.bind(process=self.label)
-            b_cache_hit = m_cache.bind(process=self.label, result="hit")
-            b_cache_miss = m_cache.bind(process=self.label, result="miss")
-            b_batch_size = m_batch_size.bind(process=self.label)
-            b_queue_depth = m_queue_depth.bind(process=self.label)
-            # "retry"/"hedge" bindings are lazy (no series until the
-            # first observation), so a zero-fault run's export stays
-            # byte-identical to a run without a fault plane.
-            _stages = (
-                "queue",
-                "cache_lookup",
-                "engine",
-                "cache_fill",
-                "migration",
-                "retry",
-                "hedge",
-            )
-            b_stage_latency = {
-                stage: m_stage_latency.bind(process=self.label, stage=stage)
-                for stage in _stages
-            }
-            b_stage_energy = {
-                stage: m_stage_energy.bind(process=self.label, stage=stage)
-                for stage in _stages
-            }
-            b_requests = {
-                outcome: m_requests.bind(process=self.label, outcome=outcome)
-                for outcome in ("served", "degraded", "shed", "failed")
-            }
-            b_request_latency = {
-                outcome: m_request_latency.bind(process=self.label, outcome=outcome)
-                for outcome in ("served", "degraded", "failed")
-            }
-        batch_counter = 0
+        observer = _RunObserver(self.telemetry, self.label)
 
         def service(batch: Batch) -> float:
-            nonlocal batch_counter
-            batch_index = batch_counter
-            batch_counter += 1
-            traced = tracer.start_batch(batch_index) if tracer is not None else False
-            if traced:
-                # Root span: first member's arrival (members are taken in
-                # arrival order) through end of engine occupancy.
-                tracer.open(
-                    "batch",
-                    batch.requests[0].arrival_s,
-                    category="serve",
-                    track="main",
-                    batch_index=batch_index,
-                    size=len(batch.requests),
-                    queue_depth=batch.queue_depth,
-                )
-                tracer.add(
-                    "queue",
-                    batch.open_s,
-                    batch.dispatch_s,
-                    category="queue",
-                    waiting=len(batch.requests),
-                    queue_depth=batch.queue_depth,
-                )
-            if observing:
-                b_batches.inc()
-                b_batch_size.observe(len(batch.requests))
-                b_queue_depth.observe(batch.queue_depth)
-                b_stage_latency["queue"].observe(batch.dispatch_s - batch.open_s)
-            batch_records: List[RequestRecord] = []
+            observer.begin_batch(batch)
+            dispatch_s = batch.dispatch_s
             queries = [self._query_for(request) for request in batch.requests]
-            outcomes = self._admission_outcomes(batch)
-            if traced:
-                tracer.add(
-                    "admission",
-                    batch.dispatch_s,
-                    batch.dispatch_s,
-                    category="admission",
-                    accepted=outcomes.count(ACCEPT),
-                    degraded=outcomes.count(DEGRADE),
-                    shed=outcomes.count(SHED),
-                )
-            degraded_k = (
-                self.admission.config.degraded_top_k
-                if self.admission is not None
-                else None
+            outcomes = self._admit(batch, observer)
+            self._flush_fault_caches(dispatch_s)
+            hits, misses, lookup_cost = self._lookup(
+                dispatch_s, queries, outcomes, ledger, observer
             )
-            active = [
-                position
-                for position, outcome in enumerate(outcomes)
-                if outcome != SHED
-            ]
-            fault_ctx = self.faults
-            if fault_ctx is not None:
-                # Cache-flush events scheduled before this dispatch fire
-                # now: the store empties and the batch takes the misses.
-                for flush_event in fault_ctx.injector.take_flushes(
-                    batch.dispatch_s
-                ):
-                    dropped = self.cache.flush() if self.cache is not None else 0
-                    fault_ctx.counters["cache_flushes"] += 1
-                    fault_ctx.counters["flushed_entries"] += dropped
-                    fault_ctx.record_event(
-                        "cache-flush", flush_event.start_s, dropped=dropped
-                    )
-            hit_values: Dict[int, Tuple[Tuple[int, ...], Tuple[float, ...]]] = {}
-            lookup_cost = Cost()
-            if self.cache is not None:
-                for position in active:
-                    value, cost = self.cache.lookup(queries[position])
-                    ledger.charge("Cache", cost)
-                    lookup_cost = lookup_cost.then(cost)
-                    if value is not None:
-                        hit_values[position] = value
-                if traced:
-                    tracer.add(
-                        "cache-lookup",
-                        batch.dispatch_s,
-                        batch.dispatch_s + lookup_cost.latency_s,
-                        category="cache",
-                        lookups=len(active),
-                        hits=len(hit_values),
-                        energy_pj=lookup_cost.energy_pj,
-                    )
-                if observing:
-                    b_cache_hit.inc(len(hit_values))
-                    b_cache_miss.inc(len(active) - len(hit_values))
-                    b_stage_latency["cache_lookup"].observe(lookup_cost.latency_s)
-                    b_stage_energy["cache_lookup"].inc(lookup_cost.energy_pj)
-
-            miss_positions = [
-                position for position in active if position not in hit_values
-            ]
-            serve_cost = Cost()
-            miss_results = {}
-            if miss_positions:
-                # Deduplicate identical queries inside the batch: the engine
-                # serves each distinct query once (the micro-batch is the
-                # natural dedup window).
-                distinct: Dict[ServeQuery, List[int]] = {}
-                for position in miss_positions:
-                    distinct.setdefault(queries[position], []).append(position)
-                engine_start_s = batch.dispatch_s + lookup_cost.latency_s
-                if traced:
-                    # Open before serve_batch so routers/engines record
-                    # their shard, replica, kernel and merge children
-                    # inside this span.
-                    tracer.open(
-                        "engine",
-                        engine_start_s,
-                        category="serve",
-                        queries=len(distinct),
-                        deduplicated=len(miss_positions) - len(distinct),
-                    )
-                if fault_ctx is not None:
-                    # Anchor the fault clock: engines and routers place
-                    # every serve attempt of this round at this instant.
-                    fault_ctx.begin_round(engine_start_s)
-                try:
-                    batch_result = self.engine.serve_batch(list(distinct))
-                except FaultError as fault:
-                    # Only a bare (router-less) engine under a fault plane
-                    # raises here.  It has no peer to fail over to: the
-                    # whole miss batch fails after its detection latency
-                    # and the wasted energy is re-billed below.
-                    detect_s = fault_ctx.detection_s(
-                        fault,
-                        getattr(self.engine, "expected_query_latency_s", None),
-                        len(distinct),
-                    )
-                    fault_ctx.record_event(
-                        "attempt-failed",
-                        engine_start_s + detect_s,
-                        kind=fault.kind,
-                        shard=0,
-                        replica=0,
-                    )
-                    fault_ctx.add_retry_cost(
-                        Cost(
-                            energy_pj=fault.cost.energy_pj,
-                            latency_ns=detect_s * 1e9,
-                        )
-                    )
-                    batch_result = failed_batch_result(len(distinct), detect_s)
-                serve_cost = batch_result.cost
-                if traced:
-                    tracer.close(
-                        engine_start_s + serve_cost.latency_s,
-                        energy_pj=serve_cost.energy_pj,
-                    )
-                if observing:
-                    b_stage_latency["engine"].observe(serve_cost.latency_s)
-                    b_stage_energy["engine"].inc(serve_cost.energy_pj)
-                ledger.charge("Serve", serve_cost)
-                if fault_ctx is not None:
-                    # Re-bill recovery work accumulated during the serve:
-                    # failed-attempt + retry energy under "Retry", hedge
-                    # duplicates under "Hedge".  Both are zero (and charge
-                    # nothing -- the ledger stays byte-identical) when no
-                    # fault fired.
-                    recovery = fault_ctx.take_retry_cost()
-                    if recovery.energy_pj or recovery.latency_ns:
-                        ledger.charge("Retry", recovery)
-                        if observing:
-                            b_stage_latency["retry"].observe(recovery.latency_s)
-                            b_stage_energy["retry"].inc(recovery.energy_pj)
-                    hedge = fault_ctx.take_hedge_cost()
-                    if hedge.energy_pj or hedge.latency_ns:
-                        ledger.charge("Hedge", hedge)
-                        if observing:
-                            b_stage_latency["hedge"].observe(hedge.latency_s)
-                            b_stage_energy["hedge"].inc(hedge.energy_pj)
-                fill_cost = Cost()
-                for query, result in zip(distinct, batch_result.results):
-                    for position in distinct[query]:
-                        miss_results[position] = result
-                    if self.cache is not None and not (
-                        result.failed or result.partial
-                    ):
-                        # Never cache a dropped or partial answer: a
-                        # recovered fleet must not keep serving the
-                        # degraded result from cache.
-                        fill_cost = fill_cost.then(
-                            self.cache.insert(
-                                query, (tuple(result.items), tuple(result.scores))
-                            )
-                        )
-                if self.cache is not None and fill_cost.latency_ns > 0.0:
-                    ledger.charge("Cache", fill_cost)
-                    fill_start_s = engine_start_s + serve_cost.latency_s
-                    if traced:
-                        tracer.add(
-                            "cache-fill",
-                            fill_start_s,
-                            fill_start_s + fill_cost.latency_s,
-                            category="cache",
-                            fills=len(distinct),
-                            energy_pj=fill_cost.energy_pj,
-                        )
-                    if observing:
-                        b_stage_latency["cache_fill"].observe(fill_cost.latency_s)
-                        b_stage_energy["cache_fill"].inc(fill_cost.energy_pj)
-                serve_cost = serve_cost.then(fill_cost)
-
+            results, serve_cost = self._serve_misses(
+                queries, misses, dispatch_s + lookup_cost.latency_s, ledger, observer
+            )
             occupancy = lookup_cost.then(serve_cost)
-            for position, request in enumerate(batch.requests):
-                degraded = outcomes[position] == DEGRADE
-                if outcomes[position] == SHED:
-                    batch_records.append(
-                        RequestRecord(
-                            request=request,
-                            completion_s=batch.dispatch_s,
-                            batch_size=len(batch.requests),
-                            cache_hit=False,
-                            items=(),
-                            shed=True,
-                        )
-                    )
-                elif position in hit_values:
-                    items, _scores = hit_values[position]
-                    completion = batch.dispatch_s + lookup_cost.latency_s
-                    batch_records.append(
-                        RequestRecord(
-                            request=request,
-                            completion_s=completion,
-                            batch_size=len(batch.requests),
-                            cache_hit=True,
-                            items=tuple(items)[:degraded_k] if degraded else tuple(items),
-                            degraded=degraded,
-                        )
-                    )
-                else:
-                    completion = batch.dispatch_s + occupancy.latency_s
-                    result = miss_results[position]
-                    if result.failed:
-                        fault_ctx.counters["failed_queries"] += 1
-                        batch_records.append(
-                            RequestRecord(
-                                request=request,
-                                completion_s=completion,
-                                batch_size=len(batch.requests),
-                                cache_hit=False,
-                                items=(),
-                                failed=True,
-                            )
-                        )
-                        continue
-                    items = tuple(result.items)
-                    batch_records.append(
-                        RequestRecord(
-                            request=request,
-                            completion_s=completion,
-                            batch_size=len(batch.requests),
-                            cache_hit=False,
-                            items=items[:degraded_k] if degraded else items,
-                            # A partial scatter-gather is served degraded:
-                            # the client got an answer with reduced recall.
-                            degraded=degraded or result.partial,
-                        )
-                    )
+            batch_records = self._build_records(
+                batch, outcomes, hits, results, lookup_cost, occupancy
+            )
             records.extend(batch_records)
-            if traced or observing:
-                trace_request = tracer.add if traced else None
-                for record in batch_records:
-                    outcome = (
-                        "shed"
-                        if record.shed
-                        else "failed"
-                        if record.failed
-                        else "degraded"
-                        if record.degraded
-                        else "served"
-                    )
-                    if trace_request is not None:
-                        request = record.request
-                        trace_request(
-                            "request",
-                            request.arrival_s,
-                            record.completion_s,
-                            category="serve",
-                            track="requests",
-                            request_id=request.request_id,
-                            user=request.user,
-                            tenant=request.tenant,
-                            outcome=outcome,
-                            cache_hit=record.cache_hit,
-                        )
-                    if observing:
-                        b_requests[outcome].inc()
-                        if not record.shed:
-                            b_request_latency[outcome].observe(record.latency_s)
-
-            def drain(current: Cost) -> Cost:
-                pending = self._pending_migration
-                drained = self._drain_migration(ledger, current)
-                if drained is not current:
-                    start_s = batch.dispatch_s + current.latency_s
-                    if traced:
-                        tracer.add(
-                            "migration",
-                            start_s,
-                            start_s + pending.latency_s,
-                            category="control",
-                            energy_pj=pending.energy_pj,
-                        )
-                    if observing:
-                        b_stage_latency["migration"].observe(pending.latency_s)
-                        b_stage_energy["migration"].inc(pending.energy_pj)
-                return drained
-
+            observer.requests(batch_records)
             # Pay any migration queued by a pre-run scale_to, then let the
             # online scaler react to what this batch measured.
-            occupancy = drain(occupancy)
+            occupancy = self._drain_migration(ledger, occupancy, dispatch_s, observer)
             if self.scaler is not None:
-                end_s = batch.dispatch_s + occupancy.latency_s
                 decision = self.scaler.observe(
                     batch, occupancy.latency_s, batch_records, self.deployment
                 )
                 if decision is not None and tuple(decision) != self.deployment:
-                    self.scale_to(*decision, now_s=end_s)
-                    occupancy = drain(occupancy)
-            if traced:
-                tracer.close(batch.dispatch_s + occupancy.latency_s)
-            if tracer is not None:
-                tracer.end_batch()
+                    self.scale_to(*decision, now_s=dispatch_s + occupancy.latency_s)
+                    occupancy = self._drain_migration(
+                        ledger, occupancy, dispatch_s, observer
+                    )
+            observer.end_batch(dispatch_s + occupancy.latency_s)
             return occupancy.latency_s
 
         batches = self.scheduler.run(requests, service)
         records.sort(key=lambda record: record.request.request_id)
         self._reported_events = len(self.scale_events)
-        price_ledger = None
-        if self.price_book is not None:
-            # Dollar accounting is post-processing: the run is already
-            # fully recorded, pricing only re-reads the rows.
-            makespan_s = (
-                max(record.completion_s for record in records)
-                - min(record.request.arrival_s for record in records)
-                if records
-                else 0.0
-            )
-            price_ledger = price_serving_run(
-                ledger,
-                self.price_book,
-                engine_kind=self.engine_kind,
-                cache_stats=(
-                    self.cache.stats() if self.cache is not None else None
-                ),
-                duration_s=makespan_s,
-                name=self.label,
-            )
-        if observing:
-            # Join the aggregate plane against the run's actual ledger and
-            # cache/spill counters so the exported textfile can never
-            # disagree with the console report.
-            telemetry.metrics.record_ledger(ledger, process=self.label)
-            if price_ledger is not None:
-                telemetry.metrics.record_price_ledger(
-                    price_ledger, process=self.label
-                )
-            if self.cache is not None:
-                cache_gauge = telemetry.metrics.gauge(
-                    "repro_cache_state", "Result-cache counters at end of run."
-                )
-                for key, value in self.cache.stats().items():
-                    cache_gauge.set(
-                        float(value), process=self.label, counter=key
-                    )
-            spill_stats = self._spill_stats()
-            if spill_stats is not None:
-                spill_gauge = telemetry.metrics.gauge(
-                    "repro_spillover_state", "Spillover routing at end of run."
-                )
-                for key in ("assigned", "spilled", "spill_rate"):
-                    spill_gauge.set(
-                        float(spill_stats[key]), process=self.label, counter=key
-                    )
-            if self.faults is not None and (
-                any(self.faults.counters.values()) or self.faults.retries_used
-            ):
-                # Created only when a fault actually fired, so a run over
-                # an empty plan exports byte-identical telemetry.
-                fault_gauge = telemetry.metrics.gauge(
-                    "repro_fault_state", "Fault-plane counters at end of run."
-                )
-                for key, value in self.faults.counters.items():
-                    fault_gauge.set(
-                        float(value), process=self.label, counter=key
-                    )
-                fault_gauge.set(
-                    float(self.faults.retries_used),
-                    process=self.label,
-                    counter="retries_used",
-                )
-                fault_gauge.set(
-                    self.faults.recall_loss,
-                    process=self.label,
-                    counter="recall_loss",
-                )
-        return ServingResult(
+        result = ServingResult(
             label=self.label,
             records=records,
             batches=batches,
@@ -877,28 +709,238 @@ class ServingSession:
             ),
             spill_stats=self._spill_stats(),
             fault_stats=self.faults.stats() if self.faults is not None else None,
-            price_ledger=price_ledger,
+            price_ledger=self._price(ledger, records),
             scale_events=list(self.scale_events[run_events_start:]),
         )
+        observer.end_run(result)
+        return result
 
-    def _admission_outcomes(self, batch: Batch) -> List[str]:
+    # -- the stages of one dispatched batch, in request order -------------
+
+    def _admit(self, batch: Batch, observer: "_RunObserver") -> List[str]:
         """Front-door rulings for every request in the batch."""
         if self.admission is None:
-            return [ACCEPT] * len(batch.requests)
-        expected_s = getattr(self.engine, "expected_query_latency_s", None)
-        return [
-            self.admission.decide(request, batch.dispatch_s, expected_s)
-            for request in batch.requests
-        ]
+            outcomes = [ACCEPT] * len(batch.requests)
+        else:
+            expected_s = getattr(self.engine, "expected_query_latency_s", None)
+            outcomes = [
+                self.admission.decide(request, batch.dispatch_s, expected_s)
+                for request in batch.requests
+            ]
+        observer.admission(batch.dispatch_s, outcomes)
+        return outcomes
 
-    def _drain_migration(self, ledger: Ledger, occupancy: Cost) -> Cost:
+    def _flush_fault_caches(self, dispatch_s: float) -> None:
+        """Fire the fault plane's cache flushes scheduled before dispatch:
+        the store empties and the batch takes the misses."""
+        faults = self.faults
+        if faults is None:
+            return
+        for flush_event in faults.injector.take_flushes(dispatch_s):
+            dropped = self.cache.flush() if self.cache is not None else 0
+            faults.counters["cache_flushes"] += 1
+            faults.counters["flushed_entries"] += dropped
+            faults.record_event("cache-flush", flush_event.start_s, dropped=dropped)
+
+    def _lookup(
+        self,
+        dispatch_s: float,
+        queries: List[ServeQuery],
+        outcomes: List[str],
+        ledger: Ledger,
+        observer: "_RunObserver",
+    ) -> Tuple[Dict[int, _Cached], List[int], Cost]:
+        """Probe the cache for every admitted request.
+
+        Returns the cached values by batch position, the admitted
+        positions that missed, and the probes' summed cost.
+        """
+        active = [
+            position for position, outcome in enumerate(outcomes) if outcome != SHED
+        ]
+        hits: Dict[int, _Cached] = {}
+        lookup_cost = Cost()
+        if self.cache is None:
+            return hits, active, lookup_cost
+        for position in active:
+            value, cost = self.cache.lookup(queries[position])
+            ledger.charge("Cache", cost)
+            lookup_cost = lookup_cost.then(cost)
+            if value is not None:
+                hits[position] = value
+        observer.cache_lookup(dispatch_s, len(active), len(hits), lookup_cost)
+        misses = [position for position in active if position not in hits]
+        return hits, misses, lookup_cost
+
+    def _serve_misses(
+        self,
+        queries: List[ServeQuery],
+        misses: List[int],
+        start_s: float,
+        ledger: Ledger,
+        observer: "_RunObserver",
+    ) -> Tuple[Dict[int, QueryResult], Cost]:
+        """Serve the cache misses as one engine round starting at ``start_s``.
+
+        Returns each miss position's query result and the engine time
+        plus cache fills.  Recovery work billed during the serve is
+        re-charged under "Retry" and "Hedge"; whole answers fill the cache.
+        """
+        results: Dict[int, QueryResult] = {}
+        if not misses:
+            return results, Cost()
+        # Deduplicate identical queries inside the batch: the engine
+        # serves each distinct query once (the micro-batch is the
+        # natural dedup window).
+        distinct: Dict[ServeQuery, List[int]] = {}
+        for position in misses:
+            distinct.setdefault(queries[position], []).append(position)
+        # Open before serve_batch so routers/engines record their shard,
+        # replica, kernel and merge children inside this span.
+        observer.engine_open(start_s, len(distinct), len(misses) - len(distinct))
+        faults = self.faults
+        if faults is not None:
+            # Anchor the fault clock: engines and routers place every
+            # serve attempt of this round at this instant.
+            faults.begin_round(start_s)
+        try:
+            batch_result = self.engine.serve_batch(list(distinct))
+        except FaultError as fault:
+            # Only a bare (router-less) engine under a fault plane raises
+            # here.  It has no peer to fail over to: the whole miss batch
+            # fails after its detection latency and the wasted energy is
+            # re-billed below.
+            detect_s = faults.detection_s(
+                fault,
+                getattr(self.engine, "expected_query_latency_s", None),
+                len(distinct),
+            )
+            faults.record_event(
+                "attempt-failed",
+                start_s + detect_s,
+                kind=fault.kind,
+                shard=0,
+                replica=0,
+            )
+            faults.add_retry_cost(
+                Cost(energy_pj=fault.cost.energy_pj, latency_ns=detect_s * 1e9)
+            )
+            batch_result = failed_batch_result(len(distinct), detect_s)
+        serve_cost = batch_result.cost
+        observer.engine_close(start_s, serve_cost)
+        ledger.charge("Serve", serve_cost)
+        if faults is not None:
+            # Failed-attempt + retry energy under "Retry", hedge
+            # duplicates under "Hedge".  Both are zero (and charge
+            # nothing -- the ledger stays byte-identical) when no fault
+            # fired.
+            for category, recovery in (
+                ("Retry", faults.take_retry_cost()),
+                ("Hedge", faults.take_hedge_cost()),
+            ):
+                if recovery.energy_pj or recovery.latency_ns:
+                    ledger.charge(category, recovery)
+                    observer.recovery(category, recovery)
+        fill_cost = Cost()
+        for query, result in zip(distinct, batch_result.results):
+            for position in distinct[query]:
+                results[position] = result
+            if self.cache is not None and not (result.failed or result.partial):
+                # Never cache a dropped or partial answer: a recovered
+                # fleet must not keep serving the degraded result from
+                # cache.
+                fill_cost = fill_cost.then(
+                    self.cache.insert(
+                        query, (tuple(result.items), tuple(result.scores))
+                    )
+                )
+        if self.cache is not None and fill_cost.latency_ns > 0.0:
+            ledger.charge("Cache", fill_cost)
+            observer.cache_fill(start_s + serve_cost.latency_s, len(distinct), fill_cost)
+        return results, serve_cost.then(fill_cost)
+
+    def _build_records(
+        self,
+        batch: Batch,
+        outcomes: List[str],
+        hits: Dict[int, _Cached],
+        results: Dict[int, QueryResult],
+        lookup_cost: Cost,
+        occupancy: Cost,
+    ) -> List[RequestRecord]:
+        """One record per request, in batch order: shed requests complete
+        at dispatch, hits after the lookups, misses after ``occupancy``
+        (lookups, engine round and fills)."""
+        hit_done_s = batch.dispatch_s + lookup_cost.latency_s
+        miss_done_s = batch.dispatch_s + occupancy.latency_s
+        admission = self.admission
+        degraded_k = admission.config.degraded_top_k if admission is not None else None
+        batch_size = len(batch.requests)
+        records = []
+        for position, request in enumerate(batch.requests):
+            outcome = outcomes[position]
+            hit = hits.get(position)
+            result = results.get(position)
+            if outcome == SHED:
+                completion_s, items = batch.dispatch_s, ()
+            elif hit is not None:
+                completion_s, items = hit_done_s, tuple(hit[0])
+            else:
+                completion_s, items = miss_done_s, tuple(result.items)
+            failed = result is not None and result.failed
+            if failed:
+                self.faults.counters["failed_queries"] += 1
+            degraded = outcome == DEGRADE and not failed
+            records.append(
+                RequestRecord(
+                    request=request,
+                    completion_s=completion_s,
+                    batch_size=batch_size,
+                    cache_hit=hit is not None,
+                    items=items[:degraded_k] if degraded else items,
+                    shed=outcome == SHED,
+                    # A partial scatter-gather is served degraded: the
+                    # client got an answer with reduced recall.
+                    degraded=degraded or (result is not None and result.partial),
+                    failed=failed,
+                )
+            )
+        return records
+
+    def _drain_migration(
+        self,
+        ledger: Ledger,
+        occupancy: Cost,
+        dispatch_s: float,
+        observer: "_RunObserver",
+    ) -> Cost:
         """Charge queued migration work and stall the data plane with it."""
-        if (
-            self._pending_migration.energy_pj == 0.0
-            and self._pending_migration.latency_ns == 0.0
-        ):
+        pending = self._pending_migration
+        if pending.energy_pj == 0.0 and pending.latency_ns == 0.0:
             return occupancy
-        ledger.charge("Migration", self._pending_migration)
-        occupancy = occupancy.then(self._pending_migration)
+        ledger.charge("Migration", pending)
+        observer.migration(dispatch_s + occupancy.latency_s, pending)
         self._pending_migration = Cost()
-        return occupancy
+        return occupancy.then(pending)
+
+    def _price(
+        self, ledger: Ledger, records: List[RequestRecord]
+    ) -> Optional[PriceLedger]:
+        """The run's dollar bill (None when unpriced).  Pricing is
+        post-processing: it only re-reads the recorded rows."""
+        if self.price_book is None:
+            return None
+        makespan_s = (
+            max(record.completion_s for record in records)
+            - min(record.request.arrival_s for record in records)
+            if records
+            else 0.0
+        )
+        return price_serving_run(
+            ledger,
+            self.price_book,
+            engine_kind=self.engine_kind,
+            cache_stats=self.cache.stats() if self.cache is not None else None,
+            duration_s=makespan_s,
+            name=self.label,
+        )

@@ -1,7 +1,7 @@
 """Hypothesis property tests for the crossbar MVM (ideal configuration)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -64,6 +64,7 @@ def test_zero_input_zero_output(weights):
 
 
 @given(weights_st, inputs_st)
+@example(weights=np.ones((8, 4)), inputs=np.full(8, 5e-324))  # subnormal outputs
 @settings(max_examples=50)
 def test_adc_quantisation_bounded(weights, inputs):
     """8-bit ADC output stays within half a step of the exact product."""

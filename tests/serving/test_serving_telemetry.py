@@ -124,6 +124,24 @@ class TestBitIdentity:
         assert 0 < tracer.sampled_batches < tracer.seen_batches
         tracer.validate()
 
+    def test_disabled_bundle_records_nothing_but_sees_every_batch(
+        self, telemetry_setup, traced_run
+    ):
+        """An attached but disabled bundle records no span or series, yet
+        its tracer still sees every batch (the Chrome export reports
+        ``seen_batches``)."""
+        build_session, requests = telemetry_setup
+        _, traced = traced_run
+        disabled = Telemetry.disabled()
+        result = build_session(disabled).run(requests)
+        assert [record.items for record in result.records] == [
+            record.items for record in traced.records
+        ]
+        assert disabled.tracer.seen_batches == len(result.batches) > 0
+        assert disabled.tracer.sampled_batches == 0
+        assert len(disabled.tracer) == 0
+        assert disabled.metrics.render_prometheus() == ""
+
 
 class TestSpanTree:
     def test_validates_and_covers_the_serve_path(self, traced_run):
