@@ -68,8 +68,8 @@ from repro.gpu.kernels import (
     gpu_topk,
 )
 from repro.lsh.hyperplane import RandomHyperplaneLSH
-from repro.models.youtube_dnn import YouTubeDNNFiltering, YouTubeDNNRanking
-from repro.nns.exact import cosine_topk, topk_indices_batch
+from repro.models.youtube_dnn import _SCORE_CHUNK_ROWS, YouTubeDNNFiltering, YouTubeDNNRanking
+from repro.nns.exact import cosine_topk, cosine_topk_batch, topk_indices_batch
 from repro.nns.fixed_radius import (
     cap_candidates,
     fixed_radius_candidates,
@@ -209,6 +209,8 @@ class _EngineBase:
         self.ranking_input_dim = config.embedding_dim * (2 + ranking_features)
         self._ewma_query_latency_s: Optional[float] = None
         self._ewma_query_energy_pj: Optional[float] = None
+        self._filtering_entries: Optional[List[Tuple[str, Cost]]] = None
+        self._query_template_cache: dict = {}
 
     def _resolve_subset(
         self, num_items: int, item_subset: Optional[Sequence[int]]
@@ -306,6 +308,8 @@ class _EngineBase:
                 start_s + cost.latency_s,
                 category="kernel",
                 engine=type(self).__name__,
+                # The use_vector_kernels switch; the GPU reference engine
+                # has none, so it reports "scalar" although it batches.
                 kernel=(
                     "vector"
                     if getattr(self, "use_vector_kernels", False)
@@ -326,6 +330,54 @@ class _EngineBase:
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
         """Engine occupancy for a batch; base class serialises queries."""
         return Cost.sequence(result.cost for result in results)
+
+    # -- cost templates (batched serving) --------------------------------
+    #
+    # A concrete engine bills a query through four hooks: ``_ledger_name``,
+    # ``_charge_filtering``, ``_charge_ranking`` and ``_charge_topk``.
+    # Every charge they make is a pure function of the engine's
+    # configuration and the query's candidate count, so the batched paths
+    # evaluate the hooks once per distinct count and replay the cached
+    # entries into every query's ledger: identical categories, identical
+    # Cost values, identical entry order -- hence bitwise the same
+    # per-query totals as ``recommend`` recomputing them.
+
+    def _query_cost_template(
+        self, candidate_count: int
+    ) -> Tuple[List[Tuple[str, Cost]], Cost]:
+        """Full per-query ledger entries + their sequential total.
+
+        The total is the same ``Cost.sequence`` fold ``Ledger.total()``
+        performs over the same entries in the same order, computed once
+        per distinct candidate count instead of once per query (the
+        query-independent filtering entries once per engine).
+        """
+        cached = self._query_template_cache.get(candidate_count)
+        if cached is None:
+            if self._filtering_entries is None:
+                probe = Ledger()
+                self._charge_filtering(probe)
+                self._filtering_entries = list(probe)
+            probe = Ledger()
+            self._charge_ranking(probe, candidate_count)
+            self._charge_topk(probe, candidate_count)
+            entries = self._filtering_entries + list(probe)
+            cached = (entries, Cost.sequence(cost for _, cost in entries))
+            self._query_template_cache[candidate_count] = cached
+        return cached
+
+    def _templated_result(
+        self, items: List[int], scores: List[float], candidate_count: int
+    ) -> QueryResult:
+        """A batched query's result, its ledger replayed from the template."""
+        entries, total = self._query_cost_template(candidate_count)
+        return QueryResult(
+            items=items,
+            candidate_count=candidate_count,
+            cost=total,
+            ledger=Ledger(name=self._ledger_name(), _entries=list(entries)),
+            scores=scores,
+        )
 
     def merge_cost(self, num_entries: int) -> Cost:
         """Cost of reducing ``num_entries`` scored rows to a final top-k."""
@@ -352,10 +404,13 @@ class _EngineBase:
 
 
 class _GPUBatchCostMixin:
-    """GPU batch-amortisation model shared by every GPU-costed engine.
+    """GPU cost hooks and batch-amortisation model of every GPU-costed engine.
 
     Requires ``self.device``, ``self.filtering_model`` and the usual
-    :class:`_EngineBase` attributes.  The batching model mirrors A4: the
+    :class:`_EngineBase` attributes.  The cost hooks charge the calibrated
+    GPU kernel models (ET lookups and DNN GEMMs per stage, the engine's
+    NNS kernel, a top-k kernel); only the NNS kernel differs between
+    engines (:meth:`_nns_cost`).  The batching model mirrors A4: the
     fixed per-query dispatch work (ET-stage overheads, per-layer kernel
     launches, the NNS base cost, the top-k launch) is paid once per
     *batch* instead of once per query, while the marginal (bytes/FLOPs)
@@ -364,26 +419,64 @@ class _GPUBatchCostMixin:
 
     device: GPUDeviceModel
 
+    def _nns_cost(self) -> Cost:
+        """The engine's NNS kernel: brute-force cosine over its items."""
+        return gpu_nns_cosine(
+            self.corpus_size, self.filtering_model.config.embedding_dim, device=self.device
+        )
+
     def _nns_overhead_terms(self) -> Tuple[float, float]:
         """(base latency us, power W) of the engine's NNS kernel."""
         return self.device.nns_cosine_base_us, self.device.power_nns_cosine_w
 
-    def _query_overhead(self, candidate_count: int) -> Cost:
-        """Per-query fixed dispatch work amortised away in batched serving."""
+    def _ledger_name(self) -> str:
+        return "gpu-query"
+
+    def _charge_filtering(self, ledger: Ledger) -> None:
         config = self.filtering_model.config
-        filtering_layers = len(config.filtering_spec.split("-"))
-        ranking_layers = len(config.ranking_spec.split("-"))
-        et_us = self.device.et_base_us * (1 + candidate_count)
-        launch_us = self.device.kernel_launch_us * (
-            filtering_layers + candidate_count * ranking_layers + 1
+        filtering_tables = _gpu_table_counts(config)[0]
+        ledger.charge("ET Lookup", gpu_et_operation(filtering_tables, device=self.device))
+        ledger.charge(
+            "DNN Stack",
+            gpu_dnn_stack(
+                self.filtering_input_dim, config.filtering_spec, device=self.device
+            ),
         )
-        nns_us, nns_power_w = self._nns_overhead_terms()
-        energy_pj = (
-            et_us * self.device.power_et_w
-            + launch_us * self.device.power_dnn_w
-            + nns_us * nns_power_w
-        ) * 1e6  # W x us = uJ; 1 uJ = 1e6 pJ
-        return Cost(energy_pj=energy_pj, latency_ns=(et_us + launch_us + nns_us) * 1e3)
+        ledger.charge("NNS", self._nns_cost())
+
+    def _charge_ranking(self, ledger: Ledger, candidate_count: int) -> None:
+        """Per-candidate ET op + DNN (the unbatched serving loop)."""
+        config = self.filtering_model.config
+        ranking_tables = _gpu_table_counts(config)[1]
+        per_candidate = gpu_et_operation(ranking_tables, device=self.device).then(
+            gpu_dnn_stack(self.ranking_input_dim, config.ranking_spec, device=self.device)
+        )
+        ledger.charge("Ranking", per_candidate.repeated(candidate_count))
+
+    def _charge_topk(self, ledger: Ledger, candidate_count: int) -> None:
+        ledger.charge("TopK", gpu_topk(candidate_count, device=self.device))
+
+    def _query_overhead(self, candidate_count: int) -> Cost:
+        """Per-query fixed dispatch work amortised away in batched serving
+        (a pure function of the count: priced once per count, then cached)."""
+        cache = self.__dict__.setdefault("_query_overhead_cache", {})
+        if candidate_count not in cache:
+            config = self.filtering_model.config
+            filtering_layers = len(config.filtering_spec.split("-"))
+            ranking_layers = len(config.ranking_spec.split("-"))
+            et_us = self.device.et_base_us * (1 + candidate_count)
+            launch_us = self.device.kernel_launch_us * (
+                filtering_layers + candidate_count * ranking_layers + 1
+            )
+            nns_us, nns_power_w = self._nns_overhead_terms()
+            energy_pj = (
+                et_us * self.device.power_et_w
+                + launch_us * self.device.power_dnn_w
+                + nns_us * nns_power_w
+            ) * 1e6  # W x us = uJ; 1 uJ = 1e6 pJ
+            latency_ns = (et_us + launch_us + nns_us) * 1e3
+            cache[candidate_count] = Cost(energy_pj=energy_pj, latency_ns=latency_ns)
+        return cache[candidate_count]
 
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
         """Batched GPU serving: fixed overheads paid once, marginals summed."""
@@ -422,8 +515,8 @@ class GPUReferenceEngine(_GPUBatchCostMixin, _EngineBase):
         full_table = filtering_model.item_table()
         self._global_ids = self._resolve_subset(full_table.shape[0], item_subset)
         self.item_table = full_table[self._global_ids]
-        config = filtering_model.config
-        self._filtering_tables, self._ranking_tables = _gpu_table_counts(config)
+        # The norms cosine_similarities recomputes per query, computed once.
+        self._item_norms = np.linalg.norm(self.item_table, axis=1)
 
     def recommend(
         self,
@@ -431,34 +524,21 @@ class GPUReferenceEngine(_GPUBatchCostMixin, _EngineBase):
         demographics: Sequence[int],
         context: Sequence[int],
     ) -> QueryResult:
-        ledger = Ledger(name="gpu-query")
-        config = self.filtering_model.config
+        """One query alone: the reference the batch path is pinned to."""
+        ledger = Ledger(name=self._ledger_name())
 
         # Filtering: ET op + DNN tower + exact cosine NNS.
-        ledger.charge("ET Lookup", gpu_et_operation(self._filtering_tables, device=self.device))
-        ledger.charge(
-            "DNN Stack",
-            gpu_dnn_stack(
-                self.filtering_input_dim, config.filtering_spec, device=self.device
-            ),
-        )
+        self._charge_filtering(ledger)
         user = self._user_embedding(history, demographics)
         count = min(self.num_candidates, self.corpus_size)
         candidates, _ = cosine_topk(user, self.item_table, count)
-        ledger.charge(
-            "NNS",
-            gpu_nns_cosine(self.corpus_size, config.embedding_dim, device=self.device),
-        )
 
-        # Ranking: per-candidate ET op + DNN (the unbatched serving loop).
-        per_candidate = gpu_et_operation(self._ranking_tables, device=self.device).then(
-            gpu_dnn_stack(self.ranking_input_dim, config.ranking_spec, device=self.device)
-        )
-        ledger.charge("Ranking", per_candidate.repeated(len(candidates)))
+        # Ranking: per-candidate ET op + DNN, then the top-k kernel.
+        self._charge_ranking(ledger, len(candidates))
         ctrs = self._score_candidates(user, self.item_table[candidates], context)
+        self._charge_topk(ledger, len(candidates))
         order = np.argsort(-ctrs, kind="stable")[: self.top_k]
         winners = [int(self._global_ids[candidates[index]]) for index in order]
-        ledger.charge("TopK", gpu_topk(len(candidates), device=self.device))
         return QueryResult(
             items=winners,
             candidate_count=len(candidates),
@@ -466,6 +546,47 @@ class GPUReferenceEngine(_GPUBatchCostMixin, _EngineBase):
             ledger=ledger,
             scores=[float(ctrs[index]) for index in order],
         )
+
+    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
+        """The whole batch at once, bit-identical to per-query :meth:`recommend`.
+
+        One user-tower pass, one exact-cosine top-k against the cached item
+        norms, one ``predict_ctr`` pass over every (query, candidate) row
+        and one CTR sort; per-query ledgers replay one cost template.
+        Every query has ``min(num_candidates, corpus_size)`` candidates, so
+        the CTRs form a rectangular matrix and a row-wise stable argsort
+        equals the per-query sort.  Ranking runs in fixed row chunks (as
+        :class:`~repro.models.youtube_dnn.RankingServingScorer` does): every
+        layer is row-stable, so chunk boundaries cannot change a bit.
+        """
+        histories = [list(query.history) for query in queries]
+        demographics = np.asarray(
+            [query.demographics for query in queries], dtype=np.int64
+        )
+        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
+        users = self.filtering_model.user_embedding(histories, demographics)
+        count = min(self.num_candidates, self.corpus_size)
+        candidates = cosine_topk_batch(users, self.item_table, self._item_norms, count)
+
+        # Row r of the flat pass is candidate r % count of query r // count.
+        flat = candidates.reshape(-1)
+        owners = np.repeat(np.arange(len(queries)), count)
+        ctrs = np.empty(flat.shape[0])
+        for start in range(0, flat.shape[0], _SCORE_CHUNK_ROWS):
+            rows = slice(start, start + _SCORE_CHUNK_ROWS)
+            ctrs[rows] = self.ranking_model.predict_ctr(
+                users[owners[rows]], self.item_table[flat[rows]], contexts[owners[rows]]
+            )
+        ctrs = ctrs.reshape(candidates.shape)
+        order = np.argsort(-ctrs, axis=1, kind="stable")[:, : self.top_k]
+        ranked = np.take_along_axis(candidates, order, axis=1)
+        return [
+            self._templated_result(items, scores, count)
+            for items, scores in zip(
+                self._global_ids[ranked].tolist(),
+                np.take_along_axis(ctrs, order, axis=1).tolist(),
+            )
+        ]
 
 
 class IMARSEngine(_EngineBase):
@@ -501,9 +622,6 @@ class IMARSEngine(_EngineBase):
         self.cost_model = cost_model or IMARSCostModel(mapping)
         self.analog_dnn = analog_dnn
         self.use_vector_kernels = use_vector_kernels and not analog_dnn
-        self._filtering_entries_cache: Optional[List[Tuple[str, Cost]]] = None
-        self._stage_entries_cache: dict = {}
-        self._query_template_cache: dict = {}
         self._analog_bank = None
         if analog_dnn:
             from repro.core.dnn_stack import CrossbarBank
@@ -627,52 +745,6 @@ class IMARSEngine(_EngineBase):
             scores=[float(ctrs[index]) for index in order],
         )
 
-    # -- cost templates (vectorised serving) ----------------------------
-    #
-    # Every charge the cost hooks make is a pure function of the engine's
-    # configuration and the query's candidate count, so the vectorised
-    # path evaluates each hook once (per distinct count) and replays the
-    # cached entries into every query's ledger: identical categories,
-    # identical Cost values, identical entry order -- hence bitwise the
-    # same per-query totals as the scalar hooks recomputing them.
-
-    def _filtering_entries(self) -> List[Tuple[str, Cost]]:
-        """The (query-independent) filtering-stage ledger entries."""
-        if self._filtering_entries_cache is None:
-            probe = Ledger()
-            self._charge_filtering(probe)
-            self._filtering_entries_cache = list(probe)
-        return self._filtering_entries_cache
-
-    def _post_filter_entries(self, candidate_count: int) -> List[Tuple[str, Cost]]:
-        """Ranking + top-k ledger entries for one candidate count."""
-        cached = self._stage_entries_cache.get(candidate_count)
-        if cached is None:
-            probe = Ledger()
-            self._charge_ranking(probe, candidate_count)
-            self._charge_topk(probe, candidate_count)
-            cached = list(probe)
-            self._stage_entries_cache[candidate_count] = cached
-        return cached
-
-    def _query_cost_template(
-        self, candidate_count: int
-    ) -> Tuple[List[Tuple[str, Cost]], Cost]:
-        """Full per-query ledger entries + their sequential total.
-
-        The total is the same ``Cost.sequence`` fold ``Ledger.total()``
-        performs over the same entries in the same order, computed once
-        per distinct candidate count instead of once per query.
-        """
-        cached = self._query_template_cache.get(candidate_count)
-        if cached is None:
-            entries = self._filtering_entries() + self._post_filter_entries(
-                candidate_count
-            )
-            cached = (entries, Cost.sequence(cost for _, cost in entries))
-            self._query_template_cache[candidate_count] = cached
-        return cached
-
     def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
         """Multi-query kernels for the whole batch (Sec. III's array view).
 
@@ -729,20 +801,10 @@ class IMARSEngine(_EngineBase):
         ].tolist()
         score_lists = np.take_along_axis(scores, order, axis=1).tolist()
 
-        ledger_name = self._ledger_name()
         results: List[QueryResult] = []
-        for position, count in enumerate(counts.tolist()):
+        for items, row_scores, count in zip(item_lists, score_lists, counts.tolist()):
             take = min(self.top_k, count)
-            entries, total = self._query_cost_template(count)
-            results.append(
-                QueryResult(
-                    items=item_lists[position][:take],
-                    candidate_count=count,
-                    cost=total,
-                    ledger=Ledger(name=ledger_name, _entries=list(entries)),
-                    scores=score_lists[position][:take],
-                )
-            )
+            results.append(self._templated_result(items[:take], row_scores[:take], count))
         return results
 
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
@@ -820,40 +882,12 @@ class GPUSpilloverEngine(_GPUBatchCostMixin, IMARSEngine):
             use_vector_kernels=use_vector_kernels,
         )
         self.device = device
-        self._filtering_tables, self._ranking_tables = _gpu_table_counts(
-            filtering_model.config
-        )
+
+    def _nns_cost(self) -> Cost:
+        return gpu_nns_lsh(self.corpus_size, self.signature_bits, device=self.device)
 
     def _nns_overhead_terms(self) -> Tuple[float, float]:
         return self.device.nns_lsh_base_us, self.device.power_nns_lsh_w
 
     def _ledger_name(self) -> str:
         return "gpu-spillover-query"
-
-    def _charge_filtering(self, ledger: Ledger) -> None:
-        config = self.filtering_model.config
-        ledger.charge(
-            "ET Lookup", gpu_et_operation(self._filtering_tables, device=self.device)
-        )
-        ledger.charge(
-            "DNN Stack",
-            gpu_dnn_stack(
-                self.filtering_input_dim, config.filtering_spec, device=self.device
-            ),
-        )
-        ledger.charge(
-            "NNS",
-            gpu_nns_lsh(self.corpus_size, self.signature_bits, device=self.device),
-        )
-
-    def _charge_ranking(self, ledger: Ledger, candidate_count: int) -> None:
-        config = self.filtering_model.config
-        per_candidate = gpu_et_operation(
-            self._ranking_tables, device=self.device
-        ).then(
-            gpu_dnn_stack(self.ranking_input_dim, config.ranking_spec, device=self.device)
-        )
-        ledger.charge("Ranking", per_candidate.repeated(candidate_count))
-
-    def _charge_topk(self, ledger: Ledger, candidate_count: int) -> None:
-        ledger.charge("TopK", gpu_topk(candidate_count, device=self.device))

@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "cosine_similarities",
     "cosine_topk",
+    "cosine_topk_batch",
     "inner_product_topk",
     "topk_indices",
     "topk_indices_batch",
@@ -109,6 +110,42 @@ def cosine_topk(query: np.ndarray, items: np.ndarray, k: int) -> Tuple[np.ndarra
     similarities = cosine_similarities(query, items)
     winners = topk_indices(similarities, k)
     return winners, similarities[winners]
+
+
+def cosine_topk_batch(
+    queries: np.ndarray, items: np.ndarray, item_norms: np.ndarray, k: int
+) -> np.ndarray:
+    """Multi-query exact-cosine top-k: a (Q, min(k, n)) index matrix.
+
+    ``item_norms`` is ``np.linalg.norm(items, axis=1)``, which a caller
+    with a fixed table computes once.  Row ``q`` then equals
+    ``cosine_topk(queries[q], items, k)[0]`` bit for bit: the same
+    similarities and the same argpartition + stable-sort rule (ties at
+    the k-th place resolve as the single-query kernel resolves them, not
+    by lowest index).
+    """
+    vectors = np.asarray(queries, dtype=np.float64)
+    matrix = np.asarray(items, dtype=np.float64)
+    if vectors.ndim != 2 or matrix.ndim != 2 or matrix.shape[1] != vectors.shape[1]:
+        raise ValueError(
+            f"need (Q, d) queries and (n, d) items, got {vectors.shape} and {matrix.shape}"
+        )
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    k = min(k, matrix.shape[0])
+    # One matrix-vector product per query, stacked: each row reduces like
+    # the single-query ``matrix @ vector``.  A 2-D GEMM (``vectors @
+    # matrix.T``) blocks the reduction differently and can flip the last
+    # bit of a similarity -- enough to reorder near-ties.
+    products = np.matmul(matrix, vectors[:, :, None])[:, :, 0]
+    query_norms = np.array([np.linalg.norm(vector) for vector in vectors])
+    denominator = item_norms * query_norms[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        similarities = np.where(denominator > 0.0, products / denominator, 0.0)
+    partitioned = np.argpartition(-similarities, k - 1, axis=1)[:, :k]
+    winners = np.take_along_axis(similarities, partitioned, axis=1)
+    order = np.argsort(-winners, axis=1, kind="stable")
+    return np.take_along_axis(partitioned, order, axis=1)
 
 
 def inner_product_topk(query: np.ndarray, items: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:

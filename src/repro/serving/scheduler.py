@@ -58,7 +58,7 @@ class MicroBatchConfig:
             raise ValueError(
                 f"max batch size must be >= 1, got {self.max_batch_size}"
             )
-        if self.max_wait_s < 0.0:
+        if not self.max_wait_s >= 0.0:
             raise ValueError(f"max wait must be non-negative, got {self.max_wait_s}")
 
 
@@ -86,7 +86,7 @@ class AdaptiveBatchConfig:
     relax_watermark: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.target_p95_s <= 0.0:
+        if not self.target_p95_s > 0.0:
             raise ValueError(f"target p95 must be positive, got {self.target_p95_s}")
         if self.window < 1:
             raise ValueError(f"control window must be >= 1, got {self.window}")
@@ -102,7 +102,7 @@ class AdaptiveBatchConfig:
             )
         if not 0.0 < self.shrink < 1.0:
             raise ValueError(f"shrink factor must be in (0, 1), got {self.shrink}")
-        if self.grow <= 1.0:
+        if not self.grow > 1.0:
             raise ValueError(f"grow factor must be > 1, got {self.grow}")
         if not 0.0 < self.relax_watermark < 1.0:
             raise ValueError(
@@ -203,7 +203,7 @@ class MicroBatchScheduler:
                 queue_depth=queue_depth,
             )
             service_s = service(batch)
-            if service_s < 0.0:
+            if not service_s >= 0.0:
                 raise ValueError(f"service time must be non-negative, got {service_s}")
             clock.advance_to(dispatch_s)
             clock.advance(service_s)

@@ -27,6 +27,7 @@ randomness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -65,8 +66,8 @@ class Request:
     tenant: str = "default"
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0.0:
-            raise ValueError(f"arrival time must be non-negative, got {self.arrival_s}")
+        if not 0.0 <= self.arrival_s < math.inf:  # NaN fails every comparison
+            raise ValueError(f"arrival time must be finite and non-negative, got {self.arrival_s}")
         if self.user < 0:
             raise ValueError(f"user id must be non-negative, got {self.user}")
         if not self.tenant:
@@ -82,7 +83,7 @@ def zipf_user_weights(num_users: int, exponent: float = 1.1) -> np.ndarray:
     """
     if num_users < 1:
         raise ValueError("need at least one user")
-    if exponent < 0.0:
+    if not exponent >= 0.0:
         raise ValueError("Zipf exponent must be non-negative")
     ranks = np.arange(1, num_users + 1, dtype=np.float64)
     weights = ranks ** -exponent
@@ -142,7 +143,7 @@ class PoissonTraffic(_TrafficBase):
         user_skew: float = 1.1,
     ):
         super().__init__(num_users, seed=seed, stream=stream, user_skew=user_skew)
-        if rate_qps <= 0.0:
+        if not rate_qps > 0.0:
             raise ValueError("arrival rate must be positive")
         self.rate_qps = rate_qps
 
@@ -172,11 +173,11 @@ class BurstyTraffic(_TrafficBase):
         user_skew: float = 1.1,
     ):
         super().__init__(num_users, seed=seed, stream=stream, user_skew=user_skew)
-        if calm_qps <= 0.0 or burst_qps <= 0.0:
+        if not (calm_qps > 0.0 and burst_qps > 0.0):
             raise ValueError("arrival rates must be positive")
         if burst_qps < calm_qps:
             raise ValueError("burst rate must be >= calm rate")
-        if mean_calm_s <= 0.0 or mean_burst_s <= 0.0:
+        if not (mean_calm_s > 0.0 and mean_burst_s > 0.0):
             raise ValueError("mean state sojourns must be positive")
         self.calm_qps = calm_qps
         self.burst_qps = burst_qps
@@ -225,11 +226,11 @@ class DiurnalTraffic(_TrafficBase):
         user_skew: float = 1.1,
     ):
         super().__init__(num_users, seed=seed, stream=stream, user_skew=user_skew)
-        if base_qps <= 0.0:
+        if not base_qps > 0.0:
             raise ValueError("base rate must be positive")
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
-        if period_s <= 0.0:
+        if not period_s > 0.0:
             raise ValueError("period must be positive")
         self.base_qps = base_qps
         self.amplitude = amplitude
@@ -290,7 +291,7 @@ class TraceReplayTraffic(_TrafficBase):
         super().__init__(resolved_users, seed=seed, stream=stream, user_skew=0.0)
         if users.max() >= self.num_users:
             raise ValueError("trace contains user ids beyond num_users")
-        if rate_qps <= 0.0:
+        if not rate_qps > 0.0:
             raise ValueError("arrival rate must be positive")
         self.rate_qps = rate_qps
         self.shuffle = shuffle
@@ -363,9 +364,9 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.share <= 0.0:
+        if not self.share > 0.0:
             raise ValueError(f"tenant share must be positive, got {self.share}")
-        if self.p95_slo_ms <= 0.0:
+        if not self.p95_slo_ms > 0.0:
             raise ValueError(f"p95 SLO must be positive, got {self.p95_slo_ms}")
 
 

@@ -1,9 +1,10 @@
 """Batched serving kernels pinned against their scalar references.
 
 Every multi-query kernel the vectorised serve path runs -- packed-word
-Hamming scans, batched fixed-radius selection, multi-query top-k and the
-histogram radius calibration -- must return exactly what the per-query
-reference code returns, element for element.  These tests pin that
+Hamming scans, batched fixed-radius selection, multi-query top-k, the
+GPU reference engine's batched exact-cosine search and the histogram
+radius calibration -- must return exactly what the per-query reference
+code returns, element for element.  These tests pin that
 contract over exhaustive small cases and randomised fuzzing.
 """
 
@@ -17,7 +18,7 @@ from repro.lsh.hamming import (
     pairwise_hamming,
     unpack_bits,
 )
-from repro.nns.exact import topk_indices_batch
+from repro.nns.exact import cosine_topk, cosine_topk_batch, topk_indices_batch
 from repro.nns.fixed_radius import (
     calibrate_population_radius,
     cap_candidates,
@@ -117,6 +118,79 @@ class TestTopkIndicesBatch:
     def test_invalid_k_rejected(self):
         with pytest.raises(ValueError):
             topk_indices_batch(np.zeros((1, 3)), 0)
+
+
+class TestCosineTopkBatch:
+    @staticmethod
+    def assert_rows_match(queries, items, k):
+        got = cosine_topk_batch(queries, items, np.linalg.norm(items, axis=1), k)
+        assert got.shape == (len(queries), min(k, len(items)))
+        for row, query in enumerate(queries):
+            np.testing.assert_array_equal(got[row], cosine_topk(query, items, k)[0])
+
+    def test_matches_per_query_cosine_topk(self):
+        rng = np.random.default_rng(0)
+        for trial in range(100):
+            num_queries = int(rng.integers(1, 8))
+            num_items = int(rng.integers(1, 60))
+            dim = int(rng.integers(1, 40))
+            k = int(rng.integers(1, num_items + 4))
+            queries = rng.normal(size=(num_queries, dim))
+            items = rng.normal(size=(num_items, dim))
+            self.assert_rows_match(queries, items, k)
+
+    def test_zero_query(self):
+        rng = np.random.default_rng(1)
+        items = rng.normal(size=(12, 6))
+        queries = np.vstack([np.zeros(6), rng.normal(size=6)])
+        for k in (1, 5, 12):
+            self.assert_rows_match(queries, items, k)
+
+    def test_zero_norm_item_row(self):
+        rng = np.random.default_rng(2)
+        items = rng.normal(size=(10, 4))
+        items[[0, 6]] = 0.0
+        queries = rng.normal(size=(5, 4))
+        for k in (1, 3, 9, 10):
+            self.assert_rows_match(queries, items, k)
+
+    def test_duplicate_rows_tie_at_kth_place(self):
+        rng = np.random.default_rng(3)
+        base = rng.normal(size=(6, 5))
+        # Each row three times: every k not a multiple of 3 splits a tie.
+        items = np.vstack([base, base, base])
+        queries = rng.normal(size=(7, 5))
+        for k in range(1, items.shape[0] + 1):
+            self.assert_rows_match(queries, items, k)
+
+    def test_near_ties_keep_single_query_rounding(self):
+        # Rows a few ulps apart: their order is decided by the last bits
+        # of each similarity, so any other reduction order shows here.
+        rng = np.random.default_rng(5)
+        items = rng.normal(size=(1, 32)) + 1e-15 * rng.normal(size=(300, 32))
+        queries = rng.normal(size=(20, 32))
+        for k in (1, 10, 150):
+            self.assert_rows_match(queries, items, k)
+
+    def test_k_at_or_above_item_count(self):
+        rng = np.random.default_rng(4)
+        items = rng.normal(size=(9, 3))
+        queries = rng.normal(size=(4, 3))
+        for k in (9, 10, 50):
+            self.assert_rows_match(queries, items, k)
+
+    def test_empty_batch(self):
+        items = np.ones((5, 3))
+        assert cosine_topk_batch(np.empty((0, 3)), items, np.ones(5), 2).shape == (0, 2)
+
+    def test_invalid_args_rejected(self):
+        norms = np.ones(4)
+        with pytest.raises(ValueError):
+            cosine_topk_batch(np.ones((1, 3)), np.ones((4, 3)), norms, 0)
+        with pytest.raises(ValueError):
+            cosine_topk_batch(np.ones((1, 2)), np.ones((4, 3)), norms, 1)
+        with pytest.raises(ValueError):
+            cosine_topk_batch(np.ones(3), np.ones((4, 3)), norms, 1)
 
 
 class TestFixedRadiusBatch:

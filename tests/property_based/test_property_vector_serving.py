@@ -9,6 +9,10 @@ over arbitrary inputs:
   the scalar reference path (``use_vector_kernels=False``);
 * the pin holds across router topologies: plain engines, corpus shards,
   replica groups, and heterogeneous GPU-spillover groups;
+* the GPU reference engine (alone and as 3 corpus shards) has no scalar
+  switch, so its reference is a twin serving each query as a batch of
+  one; only per-query fields are compared, because the batched cost
+  amortises launch overheads by design;
 * it survives arbitrary cache states: a full serving session (scheduler,
   dedup window, result cache, warm-up) records the same items and the
   same ledger totals whichever path serves the misses.
@@ -23,7 +27,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.mapping import WorkloadMapping
-from repro.core.pipeline import GPUSpilloverEngine, IMARSEngine, ServeQuery
+from repro.core.pipeline import (
+    GPUReferenceEngine,
+    GPUSpilloverEngine,
+    IMARSEngine,
+    ServeQuery,
+)
 from repro.data.movielens import MovieLensDataset, movielens_table_specs
 from repro.models.youtube_dnn import (
     YouTubeDNNConfig,
@@ -108,6 +117,14 @@ def _setup():
                 spillover_slo_s=0.5,
             ),
         ),
+        "gpu-reference": (
+            GPUReferenceEngine(filtering, ranking),
+            GPUReferenceEngine(filtering, ranking),
+        ),
+        "gpu-shards": tuple(
+            make_sharded_engine("gpu", filtering, ranking, num_shards=3)
+            for _ in range(2)
+        ),
     }
     return _STATE
 
@@ -147,6 +164,27 @@ def test_vectorised_batches_bit_identical(topology, indices):
     assert sum(
         result.cost.energy_pj for result in vec_batch.results
     ) == sum(result.cost.energy_pj for result in ref_batch.results)
+
+
+@given(
+    topology=st.sampled_from(["gpu-reference", "gpu-shards"]),
+    indices=st.lists(st.integers(0, 180), min_size=0, max_size=24),
+)
+@settings(max_examples=40)
+def test_gpu_reference_batches_match_batch_of_one(topology, indices):
+    """The GPU reference engine has no scalar switch: its reference is a
+    twin serving each query as a batch of one.  Only per-query fields are
+    compared -- the batched cost amortises launch overheads by design."""
+    state = _setup()
+    workload = state["workload"]
+    batched, twin = state["pairs"][topology]
+    queries = [workload[index % len(workload)] for index in indices]
+    results = batched.serve_batch(queries).results
+    reference = [twin.serve_batch([query]).results[0] for query in queries]
+    assert _snapshot(results) == _snapshot(reference)
+    assert [result.ledger.name for result in results] == [
+        result.ledger.name for result in reference
+    ]
 
 
 @given(

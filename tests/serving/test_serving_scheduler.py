@@ -88,6 +88,28 @@ def test_invalid_config_rejected():
         MicroBatchConfig(max_wait_s=-0.1)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: MicroBatchConfig(max_wait_s=_NAN),
+        lambda: AdaptiveBatchConfig(target_p95_s=_NAN),
+        lambda: AdaptiveBatchConfig(target_p95_s=0.01, grow=_NAN),
+        lambda: MicroBatchScheduler(MicroBatchConfig()).run(
+            _requests([0.0]), lambda batch: _NAN
+        ),
+    ],
+    ids=["max-wait", "adaptive-target", "adaptive-grow", "service-time"],
+)
+def test_nan_knobs_rejected(make):
+    """NaN fails every non-negativity/positivity check (``x < 0`` alone
+    is False for NaN, so the checks are written to fail on it)."""
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_batch_helpers():
     batch = Batch(requests=_requests([0.0, 0.1]), open_s=0.0, dispatch_s=0.2)
     assert len(batch) == 2

@@ -200,3 +200,49 @@ class TestMultiTenantTraffic:
             TenantSpec(name="t", traffic=None, p95_slo_ms=0.0)
         with pytest.raises(ValueError):
             Request(request_id=0, arrival_s=0.0, user=0, tenant="")
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PoissonTraffic(_NAN, num_users=10),
+        lambda: PoissonTraffic(100.0, num_users=10, user_skew=_NAN),
+        # 1 / 1e-310 overflows: every gap (and arrival) would be inf.
+        lambda: PoissonTraffic(1e-310, num_users=10).generate(5),
+        lambda: BurstyTraffic(_NAN, 1000.0, num_users=10),
+        lambda: BurstyTraffic(100.0, _NAN, num_users=10),
+        lambda: BurstyTraffic(100.0, 1000.0, num_users=10, mean_calm_s=_NAN),
+        lambda: BurstyTraffic(100.0, 1000.0, num_users=10, mean_burst_s=_NAN),
+        lambda: DiurnalTraffic(_NAN, num_users=10),
+        lambda: DiurnalTraffic(100.0, num_users=10, period_s=_NAN),
+        lambda: TraceReplayTraffic([0, 1, 2], _NAN),
+        lambda: Request(request_id=0, arrival_s=_NAN, user=0),
+        lambda: Request(request_id=0, arrival_s=float("inf"), user=0),
+        lambda: TenantSpec(name="t", traffic=None, share=_NAN),
+        lambda: TenantSpec(name="t", traffic=None, p95_slo_ms=_NAN),
+    ],
+    ids=[
+        "poisson-nan-rate",
+        "poisson-nan-skew",
+        "poisson-subnormal-rate",
+        "bursty-nan-calm",
+        "bursty-nan-burst",
+        "bursty-nan-calm-sojourn",
+        "bursty-nan-burst-sojourn",
+        "diurnal-nan-base",
+        "diurnal-nan-period",
+        "trace-replay-nan-rate",
+        "request-nan-arrival",
+        "request-inf-arrival",
+        "tenant-nan-share",
+        "tenant-nan-slo",
+    ],
+)
+def test_nan_and_degenerate_parameters_rejected(make):
+    """NaN fails every positivity check, and no generator emits a
+    non-finite arrival: each case raises ValueError at the boundary."""
+    with pytest.raises(ValueError):
+        make()

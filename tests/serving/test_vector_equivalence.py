@@ -4,14 +4,24 @@ The vectorised multi-query kernels must be *bit-identical* to the
 scalar reference path (``use_vector_kernels=False``): same items, same
 CTR bits, same per-query ledgers, same batched cost, same EWMA state
 afterwards -- across plain engines, shards, replica groups and
-heterogeneous spillover.  CI runs this file as its own job before the
-coverage gate so an equivalence break fails fast.
+heterogeneous spillover.  The GPU reference engine has no scalar switch:
+its batch path is pinned against its own per-query ``recommend``.  CI
+runs this file as its own job before the coverage gate so an
+equivalence break fails fast.
 """
+
+import copy
+import functools
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import GPUSpilloverEngine, IMARSEngine
+from repro.core.pipeline import (
+    GPUReferenceEngine,
+    GPUSpilloverEngine,
+    IMARSEngine,
+    _EngineBase,
+)
 from repro.energy.accounting import Cost
 from repro.models.youtube_dnn import RankingServingScorer
 from repro.nn.stable import stable_matmul
@@ -205,3 +215,79 @@ class TestStableMatmulRowStability:
         for rows in (1, 2, 3, 63, 64):
             prefix = stable_matmul(inputs[:rows], weights)
             np.testing.assert_array_equal(prefix, full[:rows])
+
+
+# -- GPU reference engine: the batch path against per-query recommend -------
+
+_GPU_CASES = {
+    "corpus": {},
+    "shard": dict(item_subset=range(1, 90, 3)),
+    "candidates-equal-shard": dict(item_subset=range(0, 90, 4), num_candidates=23),
+    "candidates-above-shard": dict(item_subset=range(0, 90, 4), num_candidates=40),
+    "top-k-above-candidates": dict(num_candidates=6, top_k=9),
+}
+
+
+def _gpu_twins(serving_setup, **kwargs):
+    """(batched engine, twin serving each batch as per-query ``recommend``).
+
+    The twin keeps ``_EngineBase.serve_batch`` but loops
+    ``recommend_query`` (the base ``_serve_results``), so its batch cost
+    and EWMAs are what the base class derives from per-query results.
+    """
+    _, filtering, ranking, _, _ = serving_setup
+    batched = GPUReferenceEngine(filtering, ranking, **kwargs)
+    twin = GPUReferenceEngine(filtering, ranking, **kwargs)
+    twin._serve_results = functools.partial(_EngineBase._serve_results, twin)
+    return batched, twin
+
+
+def _gpu_snapshot(results):
+    return _snapshot(results), [result.ledger.name for result in results]
+
+
+@pytest.mark.parametrize("engine_kwargs", list(_GPU_CASES.values()), ids=list(_GPU_CASES))
+class TestGPUReferenceBatchIdentity:
+    def test_batch_identical_to_recommend(self, engine_kwargs, serving_setup):
+        *_, workload = serving_setup
+        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+        queries = (workload * 2)[:60]  # includes duplicate queries
+        # Two batches, so the second EWMA update (not just the seed) is pinned.
+        for batch_queries in (queries, queries[7:20]):
+            batch = batched.serve_batch(batch_queries)
+            reference = twin.serve_batch(batch_queries)
+            assert _gpu_snapshot(batch.results) == _gpu_snapshot(reference.results)
+            assert _gpu_snapshot(reference.results) == _gpu_snapshot(
+                [twin.recommend_query(query) for query in batch_queries]
+            )
+            assert batch.cost == reference.cost
+            assert batched.expected_query_latency_s == twin.expected_query_latency_s
+            assert batched.expected_query_energy_pj == twin.expected_query_energy_pj
+
+    def test_batch_of_one_matches_recommend(self, engine_kwargs, serving_setup):
+        *_, workload = serving_setup
+        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+        query = workload[3]
+        result = batched.serve_batch([query]).results[0]
+        assert _gpu_snapshot([result]) == _gpu_snapshot([twin.recommend_query(query)])
+
+    def test_tied_items_break_like_recommend(self, engine_kwargs, serving_setup):
+        # Every item twice: cosine and CTR ties everywhere, so the batch
+        # path must resolve ties with the single-query top-k rule.
+        dataset, filtering, ranking, mapping, workload = serving_setup
+        tied = copy.deepcopy(filtering)
+        table = tied.item_embeddings.weight.data
+        table[1::2] = table[0::2][: table[1::2].shape[0]]
+        batched, twin = _gpu_twins((dataset, tied, ranking, mapping, workload), **engine_kwargs)
+        queries = (workload * 2)[:60]
+        batch = batched.serve_batch(queries)
+        assert _gpu_snapshot(batch.results) == _gpu_snapshot(
+            [twin.recommend_query(query) for query in queries]
+        )
+
+    def test_empty_batch(self, engine_kwargs, serving_setup):
+        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+        batch = batched.serve_batch([])
+        assert batch.results == []
+        assert batch.cost == twin.serve_batch([]).cost == Cost()
+        assert batched.expected_query_latency_s is None
