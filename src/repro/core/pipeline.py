@@ -23,9 +23,14 @@ Both wrap the same trained YouTubeDNN models, so accuracy differences come
 only from the IMC-friendly substitutions (quantisation, distance function,
 fixed-radius selection) -- the comparison of Sec. IV-B.
 
+All three run one pipeline, written once on the engine base class:
+:meth:`recommend` serves one query alone and is the reference the batch
+path is pinned to bit for bit; each engine supplies only its kernels (the
+NNS, and on iMARS the CTR scorer) and its cost hooks.
+
 Serving interface
 -----------------
-Beyond the original single-query :meth:`recommend`, both engines expose the
+Beyond the single-query :meth:`recommend`, every engine exposes the
 uniform batch interface the online serving subsystem
 (:mod:`repro.serving`) drives:
 
@@ -41,7 +46,7 @@ uniform batch interface the online serving subsystem
   per-query occupancy, the work estimate replica routers
   (:class:`repro.serving.shard.ReplicaGroup`) use for
   least-outstanding-work dispatch;
-* ``item_subset`` -- both engines can be built over a slice of the item
+* ``item_subset`` -- every engine can be built over a slice of the item
   corpus, the building block of the shard router
   (:class:`repro.serving.shard.ShardedEngine`); returned item ids are
   always *global* corpus ids;
@@ -68,8 +73,10 @@ from repro.gpu.kernels import (
     gpu_topk,
 )
 from repro.lsh.hyperplane import RandomHyperplaneLSH
-from repro.models.youtube_dnn import _SCORE_CHUNK_ROWS, YouTubeDNNFiltering, YouTubeDNNRanking
-from repro.nns.exact import cosine_topk, cosine_topk_batch, topk_indices_batch
+from repro.models.youtube_dnn import YouTubeDNNFiltering, YouTubeDNNRanking, score_in_chunks
+from repro.nns.exact import cosine_topk, cosine_topk_batch
+# No engine calls it any more; the e2e host tracer still wraps this name here.
+from repro.nns.exact import topk_indices_batch  # noqa: F401
 from repro.nns.fixed_radius import (
     cap_candidates,
     fixed_radius_candidates,
@@ -166,7 +173,13 @@ class BatchResult:
 
 
 class _EngineBase:
-    """Shared model plumbing for both engines."""
+    """The one query pipeline every engine runs (Sec. IV-C3).
+
+    :meth:`recommend` is the per-query reference and :meth:`_serve_results`
+    the batch path; an engine supplies only its NNS kernels
+    (``_candidates``/``_candidates_batch``), optionally its CTR scorer
+    (``_ctrs``/``_ctrs_batch``) and its cost hooks.
+    """
 
     #: Telemetry bundle planted by :func:`repro.obs.attach_telemetry`
     #: (None when the engine runs uninstrumented).  A class attribute so
@@ -241,7 +254,27 @@ class _EngineBase:
         demographics: Sequence[int],
         context: Sequence[int],
     ) -> QueryResult:
-        raise NotImplementedError
+        """One query alone: the reference every batch path is pinned to.
+
+        Filtering (user tower + the engine's NNS), ranking (CTR of every
+        candidate), then the top-k; the platform's cost hooks charge the
+        matching hardware bill.
+        """
+        ledger = Ledger(name=self._ledger_name())
+        self._charge_filtering(ledger)
+        user = self._user_embedding(history, demographics)
+        candidates = self._candidates(user)
+        self._charge_ranking(ledger, len(candidates))
+        ctrs = self._ctrs(user, candidates, context)
+        self._charge_topk(ledger, len(candidates))
+        order = np.argsort(-ctrs, kind="stable")[: self.top_k]
+        return QueryResult(
+            items=[int(self._global_ids[candidates[index]]) for index in order],
+            candidate_count=int(len(candidates)),
+            cost=ledger.total(),
+            ledger=ledger,
+            scores=[float(ctrs[index]) for index in order],
+        )
 
     def recommend_query(self, query: ServeQuery) -> QueryResult:
         """Serve one :class:`ServeQuery` (the batch-of-one convenience)."""
@@ -308,13 +341,11 @@ class _EngineBase:
                 start_s + cost.latency_s,
                 category="kernel",
                 engine=type(self).__name__,
-                # The use_vector_kernels switch; the GPU reference engine
-                # has none, so it reports "scalar" although it batches.
-                kernel=(
-                    "vector"
-                    if getattr(self, "use_vector_kernels", False)
-                    else "scalar"
-                ),
+                # "vector" for engines that score through the decomposed
+                # serving scorer (digital iMARS and its GPU spillover
+                # mirror), "scalar" for the full ranking forward (the GPU
+                # reference and analog engines); the golden traces pin it.
+                kernel="scalar" if getattr(self, "_scorer", None) is None else "vector",
                 queries=len(results),
                 candidates=sum(result.candidate_count for result in results),
                 energy_pj=cost.energy_pj,
@@ -322,10 +353,40 @@ class _EngineBase:
         return BatchResult(results=results, cost=cost)
 
     def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
-        """Per-query results for a batch; the base class loops
-        :meth:`recommend_query` (engines with multi-query kernels
-        override this -- results must stay bit-identical either way)."""
-        return [self.recommend_query(query) for query in queries]
+        """The whole batch at once, bit-identical to per-query :meth:`recommend`.
+
+        One user-tower pass, one NNS pass (candidate rows padded to the
+        longest, plus each row's count), one ranking pass over every
+        (query, candidate) row and one row-wise stable CTR argsort;
+        per-query ledgers replay the cached cost templates.  Each row
+        keeps its query's candidate order, and CTRs are sigmoid outputs
+        (> 0), so the -1 padding sorts after every real candidate and
+        the argsort equals the per-query sort.
+        """
+        histories = [list(query.history) for query in queries]
+        demographics = np.asarray(
+            [query.demographics for query in queries], dtype=np.int64
+        )
+        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
+        users = self.filtering_model.user_embedding(histories, demographics)
+        padded, counts = self._candidates_batch(users)
+        valid = np.arange(padded.shape[1]) < counts[:, None]
+        owners = np.repeat(np.arange(len(queries)), counts)
+        ctrs = np.full(padded.shape, -1.0)
+        ctrs[valid] = self._ctrs_batch(users, contexts, owners, padded[valid])
+        order = np.argsort(-ctrs, axis=1, kind="stable")[:, : self.top_k]
+        # Rows shorter than top-k end in padding: clamp it to a real row
+        # before the id lookup (the tail is sliced away below).
+        ranked = np.minimum(np.take_along_axis(padded, order, axis=1), self.corpus_size - 1)
+        results: List[QueryResult] = []
+        for items, scores, count in zip(
+            self._global_ids[ranked].tolist(),
+            np.take_along_axis(ctrs, order, axis=1).tolist(),
+            counts.tolist(),
+        ):
+            take = min(self.top_k, count)
+            results.append(self._templated_result(items[:take], scores[:take], count))
+        return results
 
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
         """Engine occupancy for a batch; base class serialises queries."""
@@ -336,8 +397,8 @@ class _EngineBase:
     # A concrete engine bills a query through four hooks: ``_ledger_name``,
     # ``_charge_filtering``, ``_charge_ranking`` and ``_charge_topk``.
     # Every charge they make is a pure function of the engine's
-    # configuration and the query's candidate count, so the batched paths
-    # evaluate the hooks once per distinct count and replay the cached
+    # configuration and the query's candidate count, so the batch path
+    # evaluates the hooks once per distinct count and replays the cached
     # entries into every query's ledger: identical categories, identical
     # Cost values, identical entry order -- hence bitwise the same
     # per-query totals as ``recommend`` recomputing them.
@@ -389,18 +450,51 @@ class _EngineBase:
         demo = np.asarray(demographics, dtype=np.int64).reshape(1, -1)
         return self.filtering_model.user_embedding([list(history)], demo)[0]
 
-    def _score_candidates(
-        self,
-        user_embedding: np.ndarray,
-        item_vectors: np.ndarray,
-        context: Sequence[int],
-    ) -> np.ndarray:
-        count = item_vectors.shape[0]
-        users = np.repeat(user_embedding[None, :], count, axis=0)
-        ctx = np.repeat(
-            np.asarray(context, dtype=np.int64).reshape(1, -1), count, axis=0
+    # -- kernels: what each engine supplies -----------------------------
+    #
+    # ``_candidates`` / ``_candidates_batch`` are the engine's NNS: one
+    # query's candidate rows, or (padded rows, counts) for a batch, each
+    # row in the per-query order.  ``_ctrs`` / ``_ctrs_batch`` score the
+    # candidates; the base pair runs the full ranking forward.
+
+    def _candidates(self, user: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _candidates_batch(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        raise NotImplementedError
+
+    def _ranking_rows(
+        self, user: np.ndarray, candidates: np.ndarray, context: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One query's (user, item, context) ranking-net input rows."""
+        count = len(candidates)
+        return (
+            np.repeat(user[None, :], count, axis=0),
+            self.item_table[candidates],
+            np.repeat(np.asarray(context, dtype=np.int64).reshape(1, -1), count, axis=0),
         )
-        return self.ranking_model.predict_ctr(users, item_vectors, ctx)
+
+    def _ctrs(
+        self, user: np.ndarray, candidates: np.ndarray, context: Sequence[int]
+    ) -> np.ndarray:
+        """CTRs of one query's candidates."""
+        return self.ranking_model.predict_ctr(*self._ranking_rows(user, candidates, context))
+
+    def _ctrs_batch(
+        self,
+        users: np.ndarray,
+        contexts: np.ndarray,
+        owners: np.ndarray,
+        candidates: np.ndarray,
+    ) -> np.ndarray:
+        """CTRs of flat (query ``owners[r]``, candidate ``candidates[r]``)
+        rows, bit for bit what :meth:`_ctrs` returns for each row."""
+        return score_in_chunks(
+            len(candidates),
+            lambda rows: self.ranking_model.predict_ctr(
+                users[owners[rows]], self.item_table[candidates[rows]], contexts[owners[rows]]
+            ),
+        )
 
 
 class _GPUBatchCostMixin:
@@ -518,75 +612,16 @@ class GPUReferenceEngine(_GPUBatchCostMixin, _EngineBase):
         # The norms cosine_similarities recomputes per query, computed once.
         self._item_norms = np.linalg.norm(self.item_table, axis=1)
 
-    def recommend(
-        self,
-        history: Sequence[int],
-        demographics: Sequence[int],
-        context: Sequence[int],
-    ) -> QueryResult:
-        """One query alone: the reference the batch path is pinned to."""
-        ledger = Ledger(name=self._ledger_name())
-
-        # Filtering: ET op + DNN tower + exact cosine NNS.
-        self._charge_filtering(ledger)
-        user = self._user_embedding(history, demographics)
+    def _candidates(self, user: np.ndarray) -> np.ndarray:
+        """Exact cosine NNS (the FAISS path): the closest items, nearest first."""
         count = min(self.num_candidates, self.corpus_size)
-        candidates, _ = cosine_topk(user, self.item_table, count)
+        return cosine_topk(user, self.item_table, count)[0]
 
-        # Ranking: per-candidate ET op + DNN, then the top-k kernel.
-        self._charge_ranking(ledger, len(candidates))
-        ctrs = self._score_candidates(user, self.item_table[candidates], context)
-        self._charge_topk(ledger, len(candidates))
-        order = np.argsort(-ctrs, kind="stable")[: self.top_k]
-        winners = [int(self._global_ids[candidates[index]]) for index in order]
-        return QueryResult(
-            items=winners,
-            candidate_count=len(candidates),
-            cost=ledger.total(),
-            ledger=ledger,
-            scores=[float(ctrs[index]) for index in order],
-        )
-
-    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
-        """The whole batch at once, bit-identical to per-query :meth:`recommend`.
-
-        One user-tower pass, one exact-cosine top-k against the cached item
-        norms, one ``predict_ctr`` pass over every (query, candidate) row
-        and one CTR sort; per-query ledgers replay one cost template.
-        Every query has ``min(num_candidates, corpus_size)`` candidates, so
-        the CTRs form a rectangular matrix and a row-wise stable argsort
-        equals the per-query sort.  Ranking runs in fixed row chunks (as
-        :class:`~repro.models.youtube_dnn.RankingServingScorer` does): every
-        layer is row-stable, so chunk boundaries cannot change a bit.
-        """
-        histories = [list(query.history) for query in queries]
-        demographics = np.asarray(
-            [query.demographics for query in queries], dtype=np.int64
-        )
-        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
-        users = self.filtering_model.user_embedding(histories, demographics)
+    def _candidates_batch(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Every query's exact-cosine top-k against the cached item norms."""
         count = min(self.num_candidates, self.corpus_size)
         candidates = cosine_topk_batch(users, self.item_table, self._item_norms, count)
-
-        # Row r of the flat pass is candidate r % count of query r // count.
-        flat = candidates.reshape(-1)
-        owners = np.repeat(np.arange(len(queries)), count)
-        ctrs = np.empty(flat.shape[0])
-        for start in range(0, flat.shape[0], _SCORE_CHUNK_ROWS):
-            rows = slice(start, start + _SCORE_CHUNK_ROWS)
-            ctrs[rows] = self.ranking_model.predict_ctr(
-                users[owners[rows]], self.item_table[flat[rows]], contexts[owners[rows]]
-            )
-        ctrs = ctrs.reshape(candidates.shape)
-        order = np.argsort(-ctrs, axis=1, kind="stable")[:, : self.top_k]
-        ranked = np.take_along_axis(candidates, order, axis=1)
-        return [
-            self._templated_result(items, scores, count)
-            for items, scores in zip(
-                self._global_ids[ranked].tolist(),
-                np.take_along_axis(ctrs, order, axis=1).tolist(),
-            )
-        ]
+        return candidates, np.full(len(users), count)
 
 
 class IMARSEngine(_EngineBase):
@@ -604,24 +639,16 @@ class IMARSEngine(_EngineBase):
         analog_dnn: bool = False,
         seed: int = 0,
         item_subset: Optional[Sequence[int]] = None,
-        use_vector_kernels: bool = True,
     ):
         """``analog_dnn=True`` routes the ranking MLP through the functional
         analog crossbar tiles (DAC/ADC quantisation + conductance noise)
         instead of exact arithmetic -- the full-fidelity simulation mode.
-
-        ``use_vector_kernels=False`` pins :meth:`serve_batch` to the
-        scalar per-query reference path -- the oracle the equivalence
-        suite compares the multi-query kernels against (recommendations,
-        scores and ledger energies are bit-identical either way).
-        ``analog_dnn`` implies the scalar path: the batched kernels score
-        candidates through the pre-projected digital table, which has no
-        analog port -- ranking must route through the crossbar tiles."""
+        Such an engine serves a batch query by query: the crossbar draws
+        its noise per forward, and the batched scorer has no analog port."""
         super().__init__(filtering_model, ranking_model, num_candidates, top_k)
         self.mapping = mapping
         self.cost_model = cost_model or IMARSCostModel(mapping)
         self.analog_dnn = analog_dnn
-        self.use_vector_kernels = use_vector_kernels and not analog_dnn
         self._analog_bank = None
         if analog_dnn:
             from repro.core.dnn_stack import CrossbarBank
@@ -649,7 +676,7 @@ class IMARSEngine(_EngineBase):
         self.index = LSHHammingIndex(self.item_table, hasher=hasher)
 
         # First-layer-decomposed CTR scorer over the shard's (dequantised)
-        # table: the scalar oracle and the multi-query kernels both score
+        # table: per-query recommend and the batch path both score
         # through it, so recommendations stay bit-identical across batch
         # sizes.  The analog mode keeps the full per-candidate forward --
         # crossbar noise has no decomposable form.
@@ -665,22 +692,51 @@ class IMARSEngine(_EngineBase):
         radii = self.index.calibrate_radius_batch(probes, target)
         self.radius = int(round(float(np.median(radii))))
 
-    def _score_candidates(
-        self,
-        user_embedding: np.ndarray,
-        item_vectors: np.ndarray,
-        context: Sequence[int],
-    ) -> np.ndarray:
-        if not self.analog_dnn:
-            return super()._score_candidates(user_embedding, item_vectors, context)
-        count = item_vectors.shape[0]
-        users = np.repeat(user_embedding[None, :], count, axis=0)
-        ctx = np.repeat(
-            np.asarray(context, dtype=np.int64).reshape(1, -1), count, axis=0
+    def _candidates(self, user: np.ndarray) -> np.ndarray:
+        """Fixed-radius Hamming NNS over the LSH signatures, capped to the
+        candidate budget, in ascending index (priority-encoder) order."""
+        distances = self.index.distances(user)
+        candidates = fixed_radius_candidates(distances, self.radius)
+        if candidates.shape[0] == 0:
+            # Fall back to the nearest signature (threshold raised one step).
+            candidates = np.array([int(np.argmin(distances))])
+        return cap_candidates(candidates, distances, self.num_candidates)
+
+    def _candidates_batch(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """One packed XOR+popcount scan and one stable-argsort selection
+        for every query (Sec. III's array view)."""
+        return fixed_radius_candidates_batch(
+            self.index.distances_batch(users), self.radius, self.num_candidates
         )
-        features = self.ranking_model._features(users, item_vectors, ctx)
+
+    def _ctrs(
+        self, user: np.ndarray, candidates: np.ndarray, context: Sequence[int]
+    ) -> np.ndarray:
+        """The decomposed serving scorer, or the analog crossbar forward."""
+        if self._scorer is not None:
+            return self._scorer.score_query(user, candidates, context)
+        features = self.ranking_model._features(*self._ranking_rows(user, candidates, context))
         logits, _ = self._analog_bank.forward(features)
         return 1.0 / (1.0 + np.exp(-np.clip(logits.reshape(-1), -60.0, 60.0)))
+
+    def _ctrs_batch(
+        self,
+        users: np.ndarray,
+        contexts: np.ndarray,
+        owners: np.ndarray,
+        candidates: np.ndarray,
+    ) -> np.ndarray:
+        """Per-query first-layer constants computed once, candidates
+        gathered from the scorer's pre-projected item table."""
+        constants = self._scorer.query_constants(users, contexts)
+        return self._scorer.score_grouped(constants, owners, candidates)
+
+    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
+        """The shared batch path; an analog engine (no serving scorer)
+        serves query by query, drawing crossbar noise as ``recommend`` does."""
+        if self._scorer is None:
+            return [self.recommend_query(query) for query in queries]
+        return super()._serve_results(queries)
 
     # -- cost hooks (overridden by :class:`GPUSpilloverEngine`) ---------
     def _ledger_name(self) -> str:
@@ -706,106 +762,6 @@ class IMARSEngine(_EngineBase):
     def _charge_topk(self, ledger: Ledger, candidate_count: int) -> None:
         """Top-k (2e) through the CTR buffer's threshold sweep."""
         self.cost_model.topk_operation(candidate_count, self.top_k, ledger=ledger)
-
-    def recommend(
-        self,
-        history: Sequence[int],
-        demographics: Sequence[int],
-        context: Sequence[int],
-    ) -> QueryResult:
-        ledger = Ledger(name=self._ledger_name())
-
-        # Functional result from the quantised tables + LSH index; the
-        # platform's cost hooks charge the matching hardware bill.
-        self._charge_filtering(ledger)
-        user = self._user_embedding(history, demographics)
-        distances = self.index.distances(user)
-        candidates = fixed_radius_candidates(distances, self.radius)
-        if candidates.shape[0] == 0:
-            # Fall back to the nearest signature (threshold raised one step).
-            candidates = np.array([int(np.argmin(distances))])
-        candidates = cap_candidates(candidates, distances, self.num_candidates)
-
-        self._charge_ranking(ledger, len(candidates))
-        if self._scorer is None:
-            ctrs = self._score_candidates(
-                user, self.item_table[candidates], context
-            )
-        else:
-            ctrs = self._scorer.score_query(user, candidates, context)
-
-        self._charge_topk(ledger, len(candidates))
-        order = np.argsort(-ctrs, kind="stable")[: self.top_k]
-        winners = [int(self._global_ids[candidates[index]]) for index in order]
-        return QueryResult(
-            items=winners,
-            candidate_count=int(len(candidates)),
-            cost=ledger.total(),
-            ledger=ledger,
-            scores=[float(ctrs[index]) for index in order],
-        )
-
-    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
-        """Multi-query kernels for the whole batch (Sec. III's array view).
-
-        One batched user-embedding pass, one packed XOR+popcount Hamming
-        scan, one stable-argsort candidate selection, one flat ranking
-        pass and one multi-query top-k serve every query at once;
-        per-query ledgers replay the cached cost templates.  Bit-identical
-        to the scalar loop by construction (pinned by the equivalence
-        suite); ``use_vector_kernels=False`` or ``analog_dnn`` falls back
-        to the per-query reference path.
-        """
-        if not self.use_vector_kernels:
-            return super()._serve_results(queries)
-        num_queries = len(queries)
-        histories = [list(query.history) for query in queries]
-        demographics = np.asarray(
-            [query.demographics for query in queries], dtype=np.int64
-        )
-        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
-
-        users = self.filtering_model.user_embedding(histories, demographics)
-        distances = self.index.distances_batch(users)
-        padded, counts = fixed_radius_candidates_batch(
-            distances, self.radius, self.num_candidates
-        )
-        width = padded.shape[1]
-        valid = np.arange(width) < counts[:, None]
-
-        # Flat ranking pass: candidate rows of all queries concatenated
-        # (row-major over ``padded``, so each query's block keeps its
-        # ascending-index candidate order); per-query first-layer
-        # constants computed once, candidates gathered from the scorer's
-        # pre-projected item table.
-        flat_candidates = padded[valid]
-        flat_query = np.repeat(np.arange(num_queries), counts)
-        constants = self._scorer.query_constants(users, contexts)
-        flat_ctrs = self._scorer.score_grouped(
-            constants, flat_query, flat_candidates
-        )
-
-        # Multi-query top-k over the ragged score groups: CTRs are
-        # sigmoid outputs (> 0), so -1 padding can never be selected.
-        scores = np.full((num_queries, width), -1.0)
-        scores[valid] = flat_ctrs
-        order = topk_indices_batch(scores, self.top_k, valid_counts=counts)
-
-        # One gather turns the ranked positions back into global item ids
-        # and scores for every query at once; rows shorter than top-k are
-        # clamped before the id lookup (the clamped tail is sliced away
-        # below) so the sentinel column can never index out of range.
-        ranked = np.take_along_axis(padded, order, axis=1)
-        item_lists = self._global_ids[
-            np.minimum(ranked, self.index.num_items - 1)
-        ].tolist()
-        score_lists = np.take_along_axis(scores, order, axis=1).tolist()
-
-        results: List[QueryResult] = []
-        for items, row_scores, count in zip(item_lists, score_lists, counts.tolist()):
-            take = min(self.top_k, count)
-            results.append(self._templated_result(items[:take], row_scores[:take], count))
-        return results
 
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
         """Pipelined iMARS serving: stages overlap across batched queries.
@@ -866,7 +822,6 @@ class GPUSpilloverEngine(_GPUBatchCostMixin, IMARSEngine):
         seed: int = 0,
         item_subset: Optional[Sequence[int]] = None,
         device: GPUDeviceModel = GTX1080,
-        use_vector_kernels: bool = True,
     ):
         super().__init__(
             filtering_model,
@@ -879,7 +834,6 @@ class GPUSpilloverEngine(_GPUBatchCostMixin, IMARSEngine):
             analog_dnn=False,
             seed=seed,
             item_subset=item_subset,
-            use_vector_kernels=use_vector_kernels,
         )
         self.device = device
 

@@ -43,9 +43,9 @@ class Cost:
     latency_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.energy_pj < 0.0:
+        if not self.energy_pj >= 0.0:
             raise ValueError(f"energy must be non-negative, got {self.energy_pj}")
-        if self.latency_ns < 0.0:
+        if not self.latency_ns >= 0.0:
             raise ValueError(f"latency must be non-negative, got {self.latency_ns}")
 
     # -- unit conversions ---------------------------------------------------

@@ -18,7 +18,7 @@ doubles as the ItET that iMARS stores in CMAs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,9 +312,23 @@ class YouTubeDNNRanking(Module):
         return epoch_losses
 
 
-# Rows per tail-MLP chunk in score_pairs: ~4 MB of float64 intermediates
-# at width 128, small enough to stay in cache on the serving hosts.
+# Rows per ranking chunk: ~4 MB of float64 intermediates at width 128,
+# small enough to stay in cache on the serving hosts.
 _SCORE_CHUNK_ROWS = 4096
+
+
+def score_in_chunks(total: int, score: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """``score(rows)`` over a flat pass of ``total`` rows, in fixed chunks.
+
+    A large pass then never page-faults hundred-megabyte temporaries;
+    every layer of the ranking net is row-stable, so chunk boundaries
+    cannot change a single bit.
+    """
+    ctrs = np.empty(total, dtype=np.float64)
+    for start in range(0, total, _SCORE_CHUNK_ROWS):
+        rows = slice(start, start + _SCORE_CHUNK_ROWS)
+        ctrs[rows] = score(rows)
+    return ctrs
 
 
 class RankingServingScorer:
@@ -339,8 +353,8 @@ class RankingServingScorer:
     fold in the same order (user, contexts in feature order, bias,
     item), so scoring one query alone and scoring it inside any batch
     produce bitwise-identical CTRs.  (The decomposition itself rounds
-    differently than one wide matmul, which is why *both* the scalar
-    oracle and the multi-query path must score through this class.)
+    differently than one wide matmul, which is why *both* the per-query
+    ``recommend`` and the batch path must score through this class.)
     """
 
     def __init__(self, model: YouTubeDNNRanking, item_table: np.ndarray):
@@ -395,31 +409,6 @@ class RankingServingScorer:
         logits = activation.reshape(-1)
         return 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
 
-    def score_pairs(
-        self, query_constants: np.ndarray, item_indices: np.ndarray
-    ) -> np.ndarray:
-        """CTRs for aligned (query-constant row, item index) pairs.
-
-        Large pair lists are scored in fixed row chunks so the tail-MLP
-        intermediates stay cache-resident instead of page-faulting
-        hundred-megabyte temporaries; every layer in the path is
-        row-stable, so chunk boundaries cannot change a single bit.
-        """
-        rows = np.asarray(query_constants, dtype=np.float64)
-        indices = np.asarray(item_indices, dtype=np.int64)
-        if rows.shape[0] != indices.shape[0]:
-            raise ValueError("one constants row per item index required")
-        total = rows.shape[0]
-        if total <= _SCORE_CHUNK_ROWS:
-            return self._finish(rows + self.item_projection[indices])
-        ctrs = np.empty(total, dtype=np.float64)
-        for start in range(0, total, _SCORE_CHUNK_ROWS):
-            stop = min(start + _SCORE_CHUNK_ROWS, total)
-            ctrs[start:stop] = self._finish(
-                rows[start:stop] + self.item_projection[indices[start:stop]]
-            )
-        return ctrs
-
     def score_grouped(
         self,
         query_constants: np.ndarray,
@@ -428,29 +417,23 @@ class RankingServingScorer:
     ) -> np.ndarray:
         """CTRs for flat (query, item) pairs given *shared* constant rows.
 
-        Same result as ``score_pairs(query_constants[query_index],
-        item_indices)`` but the constants gather happens per chunk, so a
-        large batch never materialises the full duplicated-constants
-        matrix (the gather is row-wise, hence bit-neutral).
+        Row ``r`` scores item ``item_indices[r]`` for the query whose
+        constants are ``query_constants[query_index[r]]``.  The constants
+        gather happens per chunk, so a large batch never materialises the
+        full duplicated-constants matrix (the gather is row-wise, hence
+        bit-neutral).
         """
         constants = np.asarray(query_constants, dtype=np.float64)
         groups = np.asarray(query_index, dtype=np.int64)
         indices = np.asarray(item_indices, dtype=np.int64)
         if groups.shape[0] != indices.shape[0]:
             raise ValueError("one query index per item index required")
-        total = groups.shape[0]
-        if total <= _SCORE_CHUNK_ROWS:
-            return self._finish(
-                constants[groups] + self.item_projection[indices]
-            )
-        ctrs = np.empty(total, dtype=np.float64)
-        for start in range(0, total, _SCORE_CHUNK_ROWS):
-            stop = min(start + _SCORE_CHUNK_ROWS, total)
-            ctrs[start:stop] = self._finish(
-                constants[groups[start:stop]]
-                + self.item_projection[indices[start:stop]]
-            )
-        return ctrs
+        return score_in_chunks(
+            groups.shape[0],
+            lambda rows: self._finish(
+                constants[groups[rows]] + self.item_projection[indices[rows]]
+            ),
+        )
 
     def score_query(
         self,

@@ -71,16 +71,15 @@ Pipeline of one simulation (:class:`~repro.serving.session.ServingSession`):
 
 Every hop of that pipeline is batch-native: the scheduler hands whole
 micro-batches to ``serve_batch``, engines run vectorised multi-query
-kernels (packed-bit Hamming scans, batched fixed-radius search, one
-argpartition top-k, array-level CTR scoring -- see
+kernels (packed-bit Hamming scans, batched fixed-radius or exact-cosine
+search, array-level CTR scoring, one row-wise stable top-k -- see
 :mod:`repro.nns.exact`, :mod:`repro.nns.fixed_radius` and
 :mod:`repro.lsh.hamming`), and :class:`~repro.serving.shard.ShardedEngine`
 merges a batch's shard results in one vectorised pass with a single
 cached merge price per entry count.  The kernels are *bit-identical*
-to the scalar reference path (``use_vector_kernels=False``) in items,
-CTR scores and energy ledgers -- pinned by
-``tests/serving/test_vector_equivalence.py`` and a Hypothesis property
-across topologies and cache states.
+to each engine's per-query ``recommend`` in items, CTR scores and
+energy ledgers -- pinned by ``tests/serving/test_vector_equivalence.py``
+and a Hypothesis property across topologies and cache states.
 """
 
 from repro.serving.admission import (

@@ -69,10 +69,10 @@ class AdmissionConfig:
     degraded_top_k: int = 3
 
     def __post_init__(self) -> None:
-        if self.slo_ms <= 0.0:
+        if not self.slo_ms > 0.0:
             raise ValueError(f"SLO must be positive, got {self.slo_ms}")
         for tenant, slo_ms in self.tenant_slos_ms.items():
-            if slo_ms <= 0.0:
+            if not slo_ms > 0.0:
                 raise ValueError(
                     f"tenant {tenant!r} SLO must be positive, got {slo_ms}"
                 )

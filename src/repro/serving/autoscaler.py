@@ -91,10 +91,10 @@ class AutoscalerConfig:
     max_spillover_replicas: int = 0
 
     def __post_init__(self) -> None:
-        if self.p95_slo_ms <= 0.0:
+        if not self.p95_slo_ms > 0.0:
             raise ValueError(f"p95 SLO must be positive, got {self.p95_slo_ms}")
         for tenant, slo_ms in self.tenant_slos_ms.items():
-            if slo_ms <= 0.0:
+            if not slo_ms > 0.0:
                 raise ValueError(
                     f"tenant {tenant!r} p95 SLO must be positive, got {slo_ms}"
                 )
@@ -344,7 +344,7 @@ class OnlineScalerConfig:
     relax_watermark: float = 0.3
 
     def __post_init__(self) -> None:
-        if self.p95_target_s <= 0.0:
+        if not self.p95_target_s > 0.0:
             raise ValueError(
                 f"p95 target must be positive, got {self.p95_target_s}"
             )
@@ -475,7 +475,7 @@ class ScheduledScalePlan:
             key=lambda event: event[0],
         )
         for time_s, (shards, replicas) in self.events:
-            if time_s < 0.0:
+            if not time_s >= 0.0:
                 raise ValueError(f"event time must be non-negative, got {time_s}")
             if shards < 1 or replicas < 1:
                 raise ValueError(

@@ -34,7 +34,7 @@ only the avoided/performed CMA writes are.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -240,21 +240,16 @@ class ServingCache:
         self.insertions += 1
         return self.foms.cma_write.repeated(self.rows_per_entry)
 
-    def invalidate(
-        self,
-        item_ids: Iterable[int],
-        items_of: Callable[[object], Iterable[int]] = lambda value: value[0],
-    ) -> Tuple[int, Cost]:
+    def invalidate(self, item_ids: Iterable[int]) -> Tuple[int, Cost]:
         """Drop entries whose cached rows reference any of ``item_ids``.
 
         Online re-sharding relocates item rows; a cached result pins
         (item, score) rows by their physical location, so entries
         touching a moved range are dropped rather than chased (the
         conservative consistency policy of a CMA-resident cache).  Every
-        resident entry pays one associative probe for the scan;
-        ``items_of`` extracts the referenced item ids from a stored
-        value (default: the session's ``(items, scores)`` layout).
-        Returns (dropped entry count, charged cost).
+        resident entry pays one associative probe for the scan; stored
+        values use the session's ``(items, scores)`` layout.  Returns
+        (dropped entry count, charged cost).
         """
         moved = {int(item) for item in item_ids}
         if not moved or not self._store:
@@ -262,8 +257,8 @@ class ServingCache:
         scan = self.foms.cma_search.repeated(len(self._store))
         victims = [
             key
-            for key, value in self._store.items()
-            if not moved.isdisjoint(int(item) for item in items_of(value))
+            for key, (items, _) in self._store.items()
+            if not moved.isdisjoint(int(item) for item in items)
         ]
         for key in victims:
             del self._store[key]

@@ -89,9 +89,9 @@ class FaultEvent:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.start_s < 0.0:
+        if not self.start_s >= 0.0:
             raise ValueError(f"fault cannot start before t=0 ({self.start_s})")
-        if self.end_s < self.start_s:
+        if not self.end_s >= self.start_s:
             raise ValueError(
                 f"fault window ends before it starts "
                 f"({self.end_s} < {self.start_s})"
@@ -104,7 +104,7 @@ class FaultEvent:
             raise ValueError(f"replica index must be >= 0, got {self.replica}")
         if self.kind == SHARD_OUTAGE and self.replica is not None:
             raise ValueError("a shard outage targets every replica (replica=None)")
-        if self.kind == STRAGGLER and self.severity <= 1.0:
+        if self.kind == STRAGGLER and not self.severity > 1.0:
             raise ValueError(
                 f"straggler severity must be > 1, got {self.severity}"
             )
@@ -325,7 +325,7 @@ def chaos_scenario(
       a healthy peer to fail over to;
     * stragglers and error windows rotate sites independently.
     """
-    if duration_s <= 0.0:
+    if not duration_s > 0.0:
         raise ValueError(f"duration must be positive, got {duration_s}")
     if num_shards < 1 or replicas_per_shard < 1:
         raise ValueError("need at least one shard and one replica per shard")

@@ -84,7 +84,7 @@ class ForecastModel:
     residual_rms_qps: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period_s <= 0.0:
+        if not self.period_s > 0.0:
             raise ValueError(f"period must be positive, got {self.period_s}")
         if not 0.0 <= self.amplitude < 1.0:
             raise ValueError(f"amplitude must be in [0, 1), got {self.amplitude}")
@@ -139,7 +139,7 @@ class TrafficForecaster:
         trend_span_fraction: float = 0.75,
         period_candidates_s: Sequence[float] = (),
     ):
-        if period_s is not None and period_s <= 0.0:
+        if period_s is not None and not period_s > 0.0:
             raise ValueError(f"period must be positive, got {period_s}")
         if period_s is None and not period_candidates_s:
             raise ValueError(
@@ -167,7 +167,7 @@ class TrafficForecaster:
             float(candidate) for candidate in period_candidates_s
         )
         for candidate in self.period_candidates_s:
-            if candidate <= 0.0:
+            if not candidate > 0.0:
                 raise ValueError(f"candidate period must be positive, got {candidate}")
         self._arrivals: List[float] = []
 
@@ -275,7 +275,7 @@ class DeploymentCapacity:
     def __post_init__(self) -> None:
         if len(self.deployment) != 2 or min(self.deployment) < 1:
             raise ValueError(f"bad deployment {self.deployment!r}")
-        if self.capacity_qps <= 0.0:
+        if not self.capacity_qps > 0.0:
             raise ValueError(f"capacity must be positive, got {self.capacity_qps}")
 
 
@@ -355,13 +355,13 @@ def plan_scale_events(
     deployment must also carry ``scale_in_headroom`` times the window
     peak, which keeps a noisy fit from flapping around a threshold.
     """
-    if horizon_s <= 0.0:
+    if not horizon_s > 0.0:
         raise ValueError(f"horizon must be positive, got {horizon_s}")
-    if step_s <= 0.0:
+    if not step_s > 0.0:
         raise ValueError(f"step must be positive, got {step_s}")
-    if lead_time_s < 0.0:
+    if not lead_time_s >= 0.0:
         raise ValueError(f"lead time must be non-negative, got {lead_time_s}")
-    if scale_in_headroom < 1.0:
+    if not scale_in_headroom >= 1.0:
         raise ValueError(
             f"scale-in headroom must be >= 1, got {scale_in_headroom}"
         )
@@ -449,11 +449,11 @@ class PredictiveScaler:
         scale_in_headroom: float = 1.15,
         act: bool = True,
     ):
-        if lead_time_s < 0.0:
+        if not lead_time_s >= 0.0:
             raise ValueError(f"lead time must be non-negative, got {lead_time_s}")
-        if horizon_s <= 0.0:
+        if not horizon_s > 0.0:
             raise ValueError(f"horizon must be positive, got {horizon_s}")
-        if step_s <= 0.0:
+        if not step_s > 0.0:
             raise ValueError(f"step must be positive, got {step_s}")
         self.forecaster = forecaster
         self.capacity = capacity

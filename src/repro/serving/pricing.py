@@ -9,9 +9,9 @@ same cost rows the energy ledger already holds*: every energy row
 ``(category, Cost)`` maps deterministically to one dollar row
 ``(category, $)`` through :meth:`PriceBook.price_row`, so the dollar
 plane inherits the bit-stability of the PR 6 cost-row templates -- a
-seeded run prices to the same cents every time, and the vectorised and
-scalar serve paths (which charge identical cost rows) price identically
-too.
+seeded run prices to the same cents every time, and an engine's batch
+path and its per-query ``recommend`` (which charge identical cost rows)
+price identically too.
 
 Row pricing rules
 -----------------
@@ -94,7 +94,7 @@ class PriceBook:
             "cache_put_per_million",
             "storage_per_entry_hour",
         ):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 < self.off_peak_discount <= 1.0:
             raise ValueError(

@@ -105,25 +105,25 @@ class ResilienceConfig:
     shard_deadline_factor: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.timeout_factor <= 0.0 or self.shard_deadline_factor <= 0.0:
+        if not (self.timeout_factor > 0.0 and self.shard_deadline_factor > 0.0):
             raise ValueError("timeout/deadline factors must be positive")
-        if self.default_timeout_s <= 0.0:
+        if not self.default_timeout_s > 0.0:
             raise ValueError(
                 f"default timeout must be positive, got {self.default_timeout_s}"
             )
         if self.max_retries < 0 or self.retry_budget < 0:
             raise ValueError("retry counts cannot be negative")
-        if self.backoff_base_s < 0.0:
+        if not self.backoff_base_s >= 0.0:
             raise ValueError(f"backoff must be >= 0, got {self.backoff_base_s}")
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_multiplier >= 1.0:
             raise ValueError(
                 f"backoff multiplier must be >= 1, got {self.backoff_multiplier}"
             )
-        if self.hedge_factor <= 1.0 or self.hedge_delay_factor <= 0.0:
+        if not (self.hedge_factor > 1.0 and self.hedge_delay_factor > 0.0):
             raise ValueError("hedge factors must be > 1 (trigger) and > 0 (delay)")
         if self.breaker_failure_threshold < 1:
             raise ValueError("breaker failure threshold must be >= 1")
-        if self.breaker_cooldown_s < 0.0:
+        if not self.breaker_cooldown_s >= 0.0:
             raise ValueError("breaker cooldown must be >= 0")
         if self.breaker_half_open_probes < 1:
             raise ValueError("half-open probe limit must be >= 1")

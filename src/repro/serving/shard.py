@@ -146,7 +146,7 @@ class ReplicaGroup:
     ):
         if not replicas:
             raise ValueError("need at least one replica")
-        if p95_target_s is not None and p95_target_s <= 0.0:
+        if p95_target_s is not None and not p95_target_s > 0.0:
             raise ValueError(f"p95 target must be positive, got {p95_target_s}")
         if not 0.0 < spill_headroom <= 1.0:
             raise ValueError(

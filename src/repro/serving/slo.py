@@ -316,9 +316,9 @@ def slo_violation_windows(
     >>> slo_violation_windows(records, p95_target_s=0.1, window_s=2.0)
     (1, 2)
     """
-    if p95_target_s <= 0.0:
+    if not p95_target_s > 0.0:
         raise ValueError(f"p95 target must be positive, got {p95_target_s}")
-    if window_s <= 0.0:
+    if not window_s > 0.0:
         raise ValueError(f"window must be positive, got {window_s}")
     answered = [
         record for record in records if not record.shed and not record.failed

@@ -17,6 +17,12 @@ class TestCostConstruction:
         with pytest.raises(ValueError):
             Cost(energy_pj=1.0, latency_ns=-1.0)
 
+    @pytest.mark.parametrize("field", ["energy_pj", "latency_ns"])
+    def test_nan_rejected(self, field):
+        # ``x < 0`` is False for NaN; the check is written to fail on it.
+        with pytest.raises(ValueError):
+            Cost(**{field: float("nan")})
+
     def test_costs_are_immutable(self):
         cost = Cost(1.0, 2.0)
         with pytest.raises(AttributeError):

@@ -1,18 +1,19 @@
-"""Hypothesis pin: vectorised serving is bit-identical to the scalar oracle.
+"""Hypothesis pin: batched serving is bit-identical to per-query ``recommend``.
 
-The tentpole contract of the vectorised multi-query serving core, checked
-over arbitrary inputs:
+The contract of the engines' one batch path, checked over arbitrary
+inputs against each engine's per-query ``recommend`` (served by the
+per-query twin of ``tests/conftest.py``):
 
 * for ANY batch -- any size (including empty), any duplication pattern --
-  the vectorised kernels return bit-identical items and CTR scores and
-  charge identical per-query ledgers (hence identical total energy) to
-  the scalar reference path (``use_vector_kernels=False``);
+  the batch path returns bit-identical items and CTR scores and charges
+  identical per-query ledgers (hence identical total energy) to the
+  per-query twin;
 * the pin holds across router topologies: plain engines, corpus shards,
   replica groups, and heterogeneous GPU-spillover groups;
-* the GPU reference engine (alone and as 3 corpus shards) has no scalar
-  switch, so its reference is a twin serving each query as a batch of
-  one; only per-query fields are compared, because the batched cost
-  amortises launch overheads by design;
+* the GPU reference engine (alone and as 3 corpus shards) is also
+  compared against a copy serving each query as a batch of one; only
+  per-query fields are compared, because the batched cost amortises
+  launch overheads by design;
 * it survives arbitrary cache states: a full serving session (scheduler,
   dedup window, result cache, warm-up) records the same items and the
   same ledger totals whichever path serves the misses.
@@ -48,8 +49,9 @@ from repro.serving.traffic import Request
 _STATE: dict = {}
 
 
-def _setup():
-    """Tiny corpus + one vec/scalar engine pair per topology (built once)."""
+def _setup(per_query_twin):
+    """Tiny corpus + one (batch path, per-query twin) pair per topology
+    (built once)."""
     if _STATE:
         return _STATE
     dataset = MovieLensDataset(scale=0.03, seed=0)
@@ -70,52 +72,26 @@ def _setup():
         for user in range(dataset.num_users)
     ]
 
-    def engine(vectorised):
-        return IMARSEngine(
-            filtering, ranking, mapping, seed=0, use_vector_kernels=vectorised
-        )
+    def pair(build):
+        return build(), per_query_twin(build())
 
-    def gpu(vectorised):
-        return GPUSpilloverEngine(
-            filtering, ranking, mapping, seed=0, use_vector_kernels=vectorised
-        )
-
-    def sharded(vectorised, **topology):
-        return make_sharded_engine(
-            "imars",
-            filtering,
-            ranking,
-            mapping=mapping,
-            seed=0,
-            use_vector_kernels=vectorised,
-            **topology,
+    def sharded(**topology):
+        return pair(
+            lambda: make_sharded_engine(
+                "imars", filtering, ranking, mapping=mapping, seed=0, **topology
+            )
         )
 
     _STATE["workload"] = workload
     _STATE["pairs"] = {
-        "imars": (engine(True), engine(False)),
-        "gpu-spillover-engine": (gpu(True), gpu(False)),
-        "shards": (
-            sharded(True, num_shards=3),
-            sharded(False, num_shards=3),
+        "imars": pair(lambda: IMARSEngine(filtering, ranking, mapping, seed=0)),
+        "gpu-spillover-engine": pair(
+            lambda: GPUSpilloverEngine(filtering, ranking, mapping, seed=0)
         ),
-        "replicas": (
-            sharded(True, num_shards=2, replicas_per_shard=2),
-            sharded(False, num_shards=2, replicas_per_shard=2),
-        ),
-        "spillover-group": (
-            sharded(
-                True,
-                num_shards=2,
-                spillover_replicas_per_shard=1,
-                spillover_slo_s=0.5,
-            ),
-            sharded(
-                False,
-                num_shards=2,
-                spillover_replicas_per_shard=1,
-                spillover_slo_s=0.5,
-            ),
+        "shards": sharded(num_shards=3),
+        "replicas": sharded(num_shards=2, replicas_per_shard=2),
+        "spillover-group": sharded(
+            num_shards=2, spillover_replicas_per_shard=1, spillover_slo_s=0.5
         ),
         "gpu-reference": (
             GPUReferenceEngine(filtering, ranking),
@@ -149,8 +125,8 @@ def _snapshot(results):
     indices=st.lists(st.integers(0, 180), min_size=0, max_size=24),
 )
 @settings(max_examples=40)
-def test_vectorised_batches_bit_identical(topology, indices):
-    state = _setup()
+def test_vectorised_batches_bit_identical(per_query_twin, topology, indices):
+    state = _setup(per_query_twin)
     workload = state["workload"]
     vectorised, scalar = state["pairs"][topology]
     queries = [workload[index % len(workload)] for index in indices]
@@ -171,11 +147,11 @@ def test_vectorised_batches_bit_identical(topology, indices):
     indices=st.lists(st.integers(0, 180), min_size=0, max_size=24),
 )
 @settings(max_examples=40)
-def test_gpu_reference_batches_match_batch_of_one(topology, indices):
-    """The GPU reference engine has no scalar switch: its reference is a
-    twin serving each query as a batch of one.  Only per-query fields are
-    compared -- the batched cost amortises launch overheads by design."""
-    state = _setup()
+def test_gpu_reference_batches_match_batch_of_one(per_query_twin, topology, indices):
+    """The GPU reference engine's batches match a copy serving each query
+    as a batch of one.  Only per-query fields are compared -- the batched
+    cost amortises launch overheads by design."""
+    state = _setup(per_query_twin)
     workload = state["workload"]
     batched, twin = state["pairs"][topology]
     queries = [workload[index % len(workload)] for index in indices]
@@ -193,24 +169,24 @@ def test_gpu_reference_batches_match_batch_of_one(topology, indices):
     capacity=st.integers(1, 64),
 )
 @settings(max_examples=15)
-def test_sessions_identical_across_cache_states(warm_users, stream, capacity):
+def test_sessions_identical_across_cache_states(
+    per_query_twin, warm_users, stream, capacity
+):
     """A full session (scheduler + dedup + cache + warm-up) serves the
     same items and charges the same ledger whichever path runs."""
-    state = _setup()
+    state = _setup(per_query_twin)
     workload = state["workload"]
     requests = [
         Request(request_id=index, arrival_s=index * 1e-4, user=user)
         for index, user in enumerate(stream)
     ]
     outcomes = []
-    for vectorised in (True, False):
-        # Fresh engines per run: a session's EWMA history must not leak
-        # between the two paths being compared.
-        engine = IMARSEngine(
-            *_models(),
-            seed=0,
-            use_vector_kernels=vectorised,
-        )
+    # Fresh engines per run: a session's EWMA history must not leak
+    # between the two paths being compared.
+    for engine in (
+        IMARSEngine(*_models(state), seed=0),
+        per_query_twin(IMARSEngine(*_models(state), seed=0)),
+    ):
         session = ServingSession(
             engine,
             workload,
@@ -233,9 +209,8 @@ def test_sessions_identical_across_cache_states(warm_users, stream, capacity):
     assert outcomes[0] == outcomes[1]
 
 
-def _models():
+def _models(state):
     """(filtering, ranking, mapping) shared by fresh session engines."""
-    state = _setup()
     prototype = state["pairs"]["imars"][0]
     return (
         prototype.filtering_model,

@@ -408,6 +408,63 @@ class TestSloViolationWindows:
             slo_violation_windows([], 1.0, 0.0)
 
 
+_NAN = float("nan")
+
+
+def _plan(**overrides):
+    kwargs = dict(
+        start_s=0.0, horizon_s=1.0, step_s=0.1, lead_time_s=0.0,
+        initial_deployment=(1, 1),
+    )
+    kwargs.update(overrides)
+    return plan_scale_events(
+        ForecastModel(base_qps=10.0, amplitude=0.0, period_s=1.0),
+        _capacity_model(),
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ForecastModel(base_qps=1.0, amplitude=0.5, period_s=_NAN),
+        lambda: TrafficForecaster(period_s=_NAN),
+        lambda: TrafficForecaster(period_candidates_s=(4.0, _NAN)),
+        lambda: DeploymentCapacity((1, 1), _NAN),
+        lambda: _plan(horizon_s=_NAN),
+        lambda: _plan(step_s=_NAN),
+        lambda: _plan(lead_time_s=_NAN),
+        lambda: _plan(scale_in_headroom=_NAN),
+        lambda: _predictive(horizon_s=_NAN),
+        lambda: _predictive(step_s=_NAN),
+        lambda: _predictive(lead_time_s=_NAN),
+        lambda: slo_violation_windows([], _NAN, 1.0),
+        lambda: slo_violation_windows([], 1.0, _NAN),
+    ],
+    ids=[
+        "model-period",
+        "forecaster-period",
+        "forecaster-candidate",
+        "capacity",
+        "plan-horizon",
+        "plan-step",
+        "plan-lead",
+        "plan-headroom",
+        "scaler-horizon",
+        "scaler-step",
+        "scaler-lead",
+        "slo-target",
+        "slo-window",
+    ],
+)
+def test_nan_parameters_rejected(make):
+    """NaN fails every boundary check (``x <= 0`` alone is False for
+    NaN, so the checks are written to fail on it); the match rules out a
+    ValueError raised deeper in, such as ``int(nan)``."""
+    with pytest.raises(ValueError, match="must be"):
+        make()
+
+
 class TestPredictiveSessionIntegration:
     def test_predictive_scaler_scales_a_real_session(self, serving_setup):
         dataset, filtering, ranking, mapping, workload = serving_setup

@@ -161,7 +161,24 @@ class TestPriceServingRun:
         )
 
 
-def _priced_run(serving_setup, seed=0, price_book=None, use_vector=True):
+@pytest.mark.parametrize(
+    "rate",
+    [
+        "imc_per_hour",
+        "gpu_per_hour",
+        "cache_get_per_million",
+        "cache_put_per_million",
+        "storage_per_entry_hour",
+    ],
+)
+def test_nan_rate_rejected(rate):
+    with pytest.raises(ValueError):
+        PriceBook(**{rate: float("nan")})
+
+
+def _priced_run(serving_setup, seed=0, price_book=None, twin=None):
+    """A priced session; ``twin`` (the per-query twin) swaps the engines'
+    batch path for per-query ``recommend``."""
     dataset, filtering, ranking, mapping, workload = serving_setup
     engine = make_sharded_engine(
         "imars",
@@ -172,8 +189,9 @@ def _priced_run(serving_setup, seed=0, price_book=None, use_vector=True):
         num_candidates=24,
         top_k=5,
         seed=0,
-        use_vector_kernels=use_vector,
     )
+    if twin is not None:
+        twin(engine)
     rate_qps = 8.0 / engine.recommend_query(workload[0]).cost.latency_s
     requests = PoissonTraffic(
         rate_qps, num_users=dataset.num_users, seed=seed, stream=7
@@ -224,11 +242,11 @@ class TestPricedSession:
         assert first.price_ledger.total() == second.price_ledger.total()
         assert list(first.price_ledger) == list(second.price_ledger)
 
-    def test_vector_and_scalar_paths_price_identically(self, serving_setup):
-        # The serve paths charge identical cost rows (the PR 6 pin), so
-        # they must bill identical dollars, row for row.
-        vector = _priced_run(serving_setup, price_book=PriceBook(), use_vector=True)
-        scalar = _priced_run(serving_setup, price_book=PriceBook(), use_vector=False)
+    def test_vector_and_scalar_paths_price_identically(self, serving_setup, per_query_twin):
+        # The batch path and per-query recommend charge identical cost
+        # rows, so they must bill identical dollars, row for row.
+        vector = _priced_run(serving_setup, price_book=PriceBook())
+        scalar = _priced_run(serving_setup, price_book=PriceBook(), twin=per_query_twin)
         assert list(vector.price_ledger) == list(scalar.price_ledger)
         assert vector.price_ledger.total() == scalar.price_ledger.total()
 

@@ -30,6 +30,10 @@ class TestAdmissionConfig:
         with pytest.raises(ValueError):
             AdmissionConfig(slo_ms=1.0, tenant_slos_ms={"a": -1.0})
         with pytest.raises(ValueError):
+            AdmissionConfig(slo_ms=float("nan"))
+        with pytest.raises(ValueError):
+            AdmissionConfig(slo_ms=1.0, tenant_slos_ms={"a": float("nan")})
+        with pytest.raises(ValueError):
             AdmissionConfig(slo_ms=1.0, degrade_watermark=0.0)
         with pytest.raises(ValueError):
             AdmissionConfig(slo_ms=1.0, degrade_watermark=1.2, shed_watermark=1.0)

@@ -177,6 +177,8 @@ def test_missing_tenant_is_a_violation():
         {"p95_slo_ms": 5.0, "min_spillover_replicas": -1},
         {"p95_slo_ms": 5.0, "min_spillover_replicas": 2,
          "max_spillover_replicas": 1},
+        {"p95_slo_ms": float("nan")},
+        {"p95_slo_ms": 5.0, "tenant_slos_ms": {"t": float("nan")}},
     ],
 )
 def test_config_validation(kwargs):

@@ -59,6 +59,25 @@ def test_straggler_severity_must_slow_things_down():
         FaultEvent(STRAGGLER, 0.0, 1.0, severity=1.0)
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FaultEvent(CRASH, _NAN, 1.0),
+        lambda: FaultEvent(CRASH, 0.0, _NAN),
+        lambda: FaultEvent(STRAGGLER, 0.0, 1.0, severity=_NAN),
+    ],
+    ids=["nan-start", "nan-end", "nan-severity"],
+)
+def test_event_rejects_nan(make):
+    """NaN fails every window and severity check (``x < 0`` alone is
+    False for NaN, so the checks are written to fail on it)."""
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_event_rejects_negative_site():
     with pytest.raises(ValueError, match="shard index"):
         FaultEvent(CRASH, 0.0, 1.0, shard=-1)
@@ -194,6 +213,8 @@ def test_chaos_scenario_is_deterministic_per_seed():
 def test_chaos_scenario_validates_shape():
     with pytest.raises(ValueError, match="duration"):
         chaos_scenario(0.0, 2, 2)
+    with pytest.raises(ValueError, match="duration"):
+        chaos_scenario(_NAN, 2, 2)
     with pytest.raises(ValueError, match="at least one shard"):
         chaos_scenario(1.0, 0, 2)
     with pytest.raises(ValueError, match="at least one shard"):

@@ -165,6 +165,24 @@ def test_resilience_config_rejects_nonsense():
             ResilienceConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "timeout_factor",
+        "shard_deadline_factor",
+        "default_timeout_s",
+        "backoff_base_s",
+        "backoff_multiplier",
+        "hedge_factor",
+        "hedge_delay_factor",
+        "breaker_cooldown_s",
+    ],
+)
+def test_resilience_config_rejects_nan(field):
+    with pytest.raises(ValueError):
+        ResilienceConfig(**{field: float("nan")})
+
+
 def test_timeouts_scale_with_expectation_and_batch_size():
     config = ResilienceConfig(
         timeout_factor=4.0, default_timeout_s=0.005, shard_deadline_factor=2.0

@@ -206,6 +206,8 @@ class TestOnlineScaler:
         with pytest.raises(ValueError):
             OnlineScalerConfig(p95_target_s=0.0)
         with pytest.raises(ValueError):
+            OnlineScalerConfig(p95_target_s=float("nan"))
+        with pytest.raises(ValueError):
             OnlineScalerConfig(p95_target_s=1.0, window=0)
         with pytest.raises(ValueError):
             OnlineScalerConfig(p95_target_s=1.0, min_shards=3, max_shards=2)
@@ -234,6 +236,9 @@ class TestScheduledScalePlan:
     def test_validation(self):
         with pytest.raises(ValueError):
             ScheduledScalePlan([(-1.0, (1, 1))])
+        with pytest.raises(ValueError):
+            # Sorted first, a NaN time used to stall every later event.
+            ScheduledScalePlan([(float("nan"), (2, 1)), (0.5, (2, 2))])
         with pytest.raises(ValueError):
             ScheduledScalePlan([(0.0, (0, 1))])
 

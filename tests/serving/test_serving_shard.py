@@ -245,6 +245,8 @@ class TestReplicaGroup:
         with pytest.raises(ValueError):
             ReplicaGroup([])
         with pytest.raises(ValueError):
+            ReplicaGroup([GPUReferenceEngine(filtering, ranking)], p95_target_s=float("nan"))
+        with pytest.raises(ValueError):
             make_sharded_engine(
                 "imars", filtering, ranking, 2, mapping=mapping,
                 replicas_per_shard=0,

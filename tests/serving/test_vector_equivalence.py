@@ -1,29 +1,22 @@
-"""Scalar-vs-vectorised serving equivalence suite (the fast CI pin).
+"""Batch-vs-per-query serving equivalence suite (the fast CI pin).
 
-The vectorised multi-query kernels must be *bit-identical* to the
-scalar reference path (``use_vector_kernels=False``): same items, same
-CTR bits, same per-query ledgers, same batched cost, same EWMA state
-afterwards -- across plain engines, shards, replica groups and
-heterogeneous spillover.  The GPU reference engine has no scalar switch:
-its batch path is pinned against its own per-query ``recommend``.  CI
-runs this file as its own job before the coverage gate so an
+Every engine's batch path must be *bit-identical* to its per-query
+``recommend``, served by the per-query twin of ``tests/conftest.py``:
+same items, same CTR bits, same per-query ledgers, same batched cost,
+same EWMA state afterwards -- across plain iMARS, GPU spillover and GPU
+reference engines, shards, replica groups and heterogeneous spillover.
+CI runs this file as its own job before the coverage gate so an
 equivalence break fails fast.
 """
 
 import copy
-import functools
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    GPUReferenceEngine,
-    GPUSpilloverEngine,
-    IMARSEngine,
-    _EngineBase,
-)
+from repro.core.pipeline import GPUReferenceEngine, GPUSpilloverEngine, IMARSEngine
 from repro.energy.accounting import Cost
-from repro.models.youtube_dnn import RankingServingScorer
+from repro.models.youtube_dnn import _SCORE_CHUNK_ROWS, RankingServingScorer
 from repro.nn.stable import stable_matmul
 from repro.serving.shard import _member_merge_cost, make_sharded_engine
 
@@ -41,23 +34,20 @@ def _snapshot(results):
     ]
 
 
-def _engine_pair(engine_cls, serving_setup, **kwargs):
+def _engine_pair(engine_cls, serving_setup, per_query_twin):
+    """(batch-path engine, per-query twin), built alike."""
     _, filtering, ranking, mapping, _ = serving_setup
     return (
-        engine_cls(
-            filtering, ranking, mapping, seed=0, use_vector_kernels=True, **kwargs
-        ),
-        engine_cls(
-            filtering, ranking, mapping, seed=0, use_vector_kernels=False, **kwargs
-        ),
+        engine_cls(filtering, ranking, mapping, seed=0),
+        per_query_twin(engine_cls(filtering, ranking, mapping, seed=0)),
     )
 
 
 @pytest.mark.parametrize("engine_cls", [IMARSEngine, GPUSpilloverEngine])
 class TestEngineBitIdentity:
-    def test_batch_identical_to_scalar(self, engine_cls, serving_setup):
+    def test_batch_identical_to_scalar(self, engine_cls, serving_setup, per_query_twin):
         *_, workload = serving_setup
-        vectorised, scalar = _engine_pair(engine_cls, serving_setup)
+        vectorised, scalar = _engine_pair(engine_cls, serving_setup, per_query_twin)
         queries = (workload * 2)[:60]  # includes duplicate queries
         vec_batch = vectorised.serve_batch(queries)
         ref_batch = scalar.serve_batch(queries)
@@ -73,16 +63,16 @@ class TestEngineBitIdentity:
             == scalar.expected_query_energy_pj
         )
 
-    def test_batch_of_one_matches_recommend(self, engine_cls, serving_setup):
+    def test_batch_of_one_matches_recommend(self, engine_cls, serving_setup, per_query_twin):
         *_, workload = serving_setup
-        vectorised, scalar = _engine_pair(engine_cls, serving_setup)
+        vectorised, scalar = _engine_pair(engine_cls, serving_setup, per_query_twin)
         query = workload[3]
         vec = vectorised.serve_batch([query]).results[0]
         ref = scalar.recommend_query(query)
         assert _snapshot([vec]) == _snapshot([ref])
 
-    def test_empty_batch(self, engine_cls, serving_setup):
-        vectorised, scalar = _engine_pair(engine_cls, serving_setup)
+    def test_empty_batch(self, engine_cls, serving_setup, per_query_twin):
+        vectorised, scalar = _engine_pair(engine_cls, serving_setup, per_query_twin)
         assert vectorised.serve_batch([]).results == []
         assert vectorised.serve_batch([]).cost == scalar.serve_batch([]).cost
 
@@ -101,41 +91,38 @@ class TestShardedBitIdentity:
         ],
         ids=["shards", "replicas", "spillover"],
     )
-    def test_topology(self, topology, serving_setup):
+    def test_topology(self, topology, serving_setup, per_query_twin):
         _, filtering, ranking, mapping, workload = serving_setup
         queries = (workload * 2)[:50]
-        batches = []
-        for vectorised in (True, False):
-            router = make_sharded_engine(
-                "imars",
-                filtering,
-                ranking,
-                mapping=mapping,
-                seed=0,
-                use_vector_kernels=vectorised,
-                **topology,
+        routers = [
+            make_sharded_engine(
+                "imars", filtering, ranking, mapping=mapping, seed=0, **topology
             )
-            batches.append(router.serve_batch(queries))
+            for _ in range(2)
+        ]
+        per_query_twin(routers[1])
+        batches = [router.serve_batch(queries) for router in routers]
         assert _snapshot(batches[0].results) == _snapshot(batches[1].results)
         assert batches[0].cost == batches[1].cost
 
 
 class TestAnalogFallsBackToScalar:
     def test_analog_disables_vector_kernels(self, serving_setup):
+        # Crossbar noise is drawn per forward and the batched scorer has
+        # no analog port, so an analog engine serves a batch query by
+        # query: exactly what per-query recommend returns and draws.
         _, filtering, ranking, mapping, workload = serving_setup
-        engine = IMARSEngine(
-            filtering,
-            ranking,
-            mapping,
-            seed=0,
-            analog_dnn=True,
-            use_vector_kernels=True,
-        )
-        # Crossbar noise is drawn per recommend() call, so the analog
-        # engine must serve through the scalar reference path.
-        assert engine.use_vector_kernels is False
-        batch = engine.serve_batch(workload[:3])
-        assert len(batch.results) == 3
+        engines = [
+            IMARSEngine(filtering, ranking, mapping, seed=0, analog_dnn=True)
+            for _ in range(2)
+        ]
+        queries = (workload * 2)[:30]  # includes duplicate queries
+        batch = engines[0].serve_batch(queries)
+        reference = [engines[1].recommend_query(query) for query in queries]
+        assert _snapshot(batch.results) == _snapshot(reference)
+        assert [result.ledger.name for result in batch.results] == [
+            result.ledger.name for result in reference
+        ]
 
 
 class TestMergeEnergyIdentity:
@@ -196,14 +183,33 @@ class TestScorerConsistency:
         contexts = np.asarray([workload[i].context for i in range(4)])
         items = rng.integers(0, scorer.num_items, size=4)
         constants = scorer.query_constants(users, contexts)
-        paired = scorer.score_pairs(constants, items)
         grouped = scorer.score_grouped(constants, np.arange(4), items)
-        np.testing.assert_array_equal(paired, grouped)
         for row in range(4):
             solo = scorer.score_query(
                 users[row], np.asarray([items[row]]), contexts[row]
             )
-            assert solo[0] == paired[row]
+            assert solo[0] == grouped[row]
+
+    def test_chunked_grouped_pass_matches_score_query(self, serving_setup):
+        # More than two 4,096-row chunks, with query groups straddling
+        # the chunk boundaries: every row must equal its query scored alone.
+        _, filtering, ranking, mapping, workload = serving_setup
+        scorer = IMARSEngine(filtering, ranking, mapping, seed=0)._scorer
+        rng = np.random.default_rng(1)
+        num_queries = 7
+        users = rng.normal(size=(num_queries, filtering.config.embedding_dim))
+        contexts = np.asarray([workload[i].context for i in range(num_queries)])
+        per_query = 2 * _SCORE_CHUNK_ROWS // num_queries + 5
+        owners = np.repeat(np.arange(num_queries), per_query)
+        assert owners.shape[0] > 2 * _SCORE_CHUNK_ROWS
+        items = rng.integers(0, scorer.num_items, size=owners.shape[0])
+        grouped = scorer.score_grouped(
+            scorer.query_constants(users, contexts), owners, items
+        )
+        for query in range(num_queries):
+            rows = owners == query
+            solo = scorer.score_query(users[query], items[rows], contexts[query])
+            assert solo.tobytes() == grouped[rows].tobytes()
 
 
 class TestStableMatmulRowStability:
@@ -228,18 +234,13 @@ _GPU_CASES = {
 }
 
 
-def _gpu_twins(serving_setup, **kwargs):
-    """(batched engine, twin serving each batch as per-query ``recommend``).
-
-    The twin keeps ``_EngineBase.serve_batch`` but loops
-    ``recommend_query`` (the base ``_serve_results``), so its batch cost
-    and EWMAs are what the base class derives from per-query results.
-    """
+def _gpu_twins(serving_setup, per_query_twin, **kwargs):
+    """(batched GPU reference engine, its per-query twin), built alike."""
     _, filtering, ranking, _, _ = serving_setup
-    batched = GPUReferenceEngine(filtering, ranking, **kwargs)
-    twin = GPUReferenceEngine(filtering, ranking, **kwargs)
-    twin._serve_results = functools.partial(_EngineBase._serve_results, twin)
-    return batched, twin
+    return (
+        GPUReferenceEngine(filtering, ranking, **kwargs),
+        per_query_twin(GPUReferenceEngine(filtering, ranking, **kwargs)),
+    )
 
 
 def _gpu_snapshot(results):
@@ -248,9 +249,9 @@ def _gpu_snapshot(results):
 
 @pytest.mark.parametrize("engine_kwargs", list(_GPU_CASES.values()), ids=list(_GPU_CASES))
 class TestGPUReferenceBatchIdentity:
-    def test_batch_identical_to_recommend(self, engine_kwargs, serving_setup):
+    def test_batch_identical_to_recommend(self, engine_kwargs, serving_setup, per_query_twin):
         *_, workload = serving_setup
-        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+        batched, twin = _gpu_twins(serving_setup, per_query_twin, **engine_kwargs)
         queries = (workload * 2)[:60]  # includes duplicate queries
         # Two batches, so the second EWMA update (not just the seed) is pinned.
         for batch_queries in (queries, queries[7:20]):
@@ -264,29 +265,31 @@ class TestGPUReferenceBatchIdentity:
             assert batched.expected_query_latency_s == twin.expected_query_latency_s
             assert batched.expected_query_energy_pj == twin.expected_query_energy_pj
 
-    def test_batch_of_one_matches_recommend(self, engine_kwargs, serving_setup):
+    def test_batch_of_one_matches_recommend(self, engine_kwargs, serving_setup, per_query_twin):
         *_, workload = serving_setup
-        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+        batched, twin = _gpu_twins(serving_setup, per_query_twin, **engine_kwargs)
         query = workload[3]
         result = batched.serve_batch([query]).results[0]
         assert _gpu_snapshot([result]) == _gpu_snapshot([twin.recommend_query(query)])
 
-    def test_tied_items_break_like_recommend(self, engine_kwargs, serving_setup):
+    def test_tied_items_break_like_recommend(self, engine_kwargs, serving_setup, per_query_twin):
         # Every item twice: cosine and CTR ties everywhere, so the batch
         # path must resolve ties with the single-query top-k rule.
         dataset, filtering, ranking, mapping, workload = serving_setup
         tied = copy.deepcopy(filtering)
         table = tied.item_embeddings.weight.data
         table[1::2] = table[0::2][: table[1::2].shape[0]]
-        batched, twin = _gpu_twins((dataset, tied, ranking, mapping, workload), **engine_kwargs)
+        batched, twin = _gpu_twins(
+            (dataset, tied, ranking, mapping, workload), per_query_twin, **engine_kwargs
+        )
         queries = (workload * 2)[:60]
         batch = batched.serve_batch(queries)
         assert _gpu_snapshot(batch.results) == _gpu_snapshot(
             [twin.recommend_query(query) for query in queries]
         )
 
-    def test_empty_batch(self, engine_kwargs, serving_setup):
-        batched, twin = _gpu_twins(serving_setup, **engine_kwargs)
+    def test_empty_batch(self, engine_kwargs, serving_setup, per_query_twin):
+        batched, twin = _gpu_twins(serving_setup, per_query_twin, **engine_kwargs)
         batch = batched.serve_batch([])
         assert batch.results == []
         assert batch.cost == twin.serve_batch([]).cost == Cost()
