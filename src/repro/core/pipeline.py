@@ -181,7 +181,7 @@ class _EngineBase:
     (``_ctrs``/``_ctrs_batch``) and its cost hooks.
     """
 
-    #: Telemetry bundle planted by :func:`repro.obs.attach_telemetry`
+    #: Telemetry bundle the serving session plants on its fleet
     #: (None when the engine runs uninstrumented).  A class attribute so
     #: attachment is optional and costs nothing when absent; engines
     #: never import the obs package -- they only call methods on what

@@ -13,8 +13,8 @@ Everything the serving stack knows about itself flows through here:
 * :mod:`repro.obs.exporters` -- JSONL traces, Perfetto-loadable Chrome
   trace-event JSON, Prometheus text exposition;
 * :mod:`repro.obs.telemetry` -- :class:`Telemetry`, the bundle the
-  session threads through schedulers/engines, and
-  :func:`attach_telemetry` for planting it on live engine trees.
+  session threads through its scheduler and plants on every node of its
+  fleet.
 
 Design rules the rest of the repo relies on: obs imports nothing from
 ``repro.serving``/``repro.core`` (the dependency arrow points the other
@@ -42,7 +42,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.telemetry import Telemetry, attach_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.tracer import Instant, Span, Tracer, span_children
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "Span",
     "Telemetry",
     "Tracer",
-    "attach_telemetry",
     "chrome_trace_events",
     "span_children",
     "write_chrome_trace",

@@ -3,11 +3,12 @@
 :class:`Telemetry` pairs one :class:`~repro.obs.tracer.Tracer` with one
 :class:`~repro.obs.metrics.MetricsRegistry` so call sites pass a single
 handle.  Sessions receive it as ``ServingSession(..., telemetry=...)``;
-engines receive it by *attachment* (:func:`attach_telemetry` plants the
-bundle as ``_obs`` on an engine and, duck-typed, on every shard and
-replica under it), because engines are built by factories and swapped
-live by scale events -- attachment after construction is the only hook
-that survives both.
+engines receive it by *attachment*: the session plants the bundle as
+``_obs`` on every router, replica group and engine of its fleet, and
+again after every scale event, because engines are built by factories
+and swapped live -- attachment after construction is the only hook that
+survives both.  The fleet's shape is the router module's business
+(:func:`repro.serving.shard.iter_engines`), not this package's.
 
 This module imports nothing from :mod:`repro.serving` or
 :mod:`repro.core` -- the dependency arrow points serving -> obs only,
@@ -23,7 +24,7 @@ from repro.obs.exporters import write_prometheus, write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
-__all__ = ["Telemetry", "attach_telemetry"]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -69,22 +70,3 @@ class Telemetry:
             f"spans={len(self.tracer.spans)}, "
             f"instants={len(self.tracer.instants)})"
         )
-
-
-def attach_telemetry(engine, telemetry: Optional[Telemetry]) -> None:
-    """Plant ``telemetry`` as ``_obs`` on an engine tree.
-
-    Walks the serving topology duck-typed -- ``.shards`` on a sharded
-    engine, ``.replicas`` on a replica group -- so one call covers a
-    bare engine, a sharded engine, replica groups, and heterogeneous
-    spillover fleets alike.  Passing ``None`` detaches.  The session
-    re-invokes this after every live scale event, because scaling
-    rebuilds the engine tree from the factory.
-    """
-    if engine is None:
-        return
-    engine._obs = telemetry
-    for shard in getattr(engine, "shards", ()) or ():
-        attach_telemetry(shard, telemetry)
-    for replica in getattr(engine, "replicas", ()) or ():
-        attach_telemetry(replica, telemetry)

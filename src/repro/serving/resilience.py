@@ -3,9 +3,9 @@
 :mod:`repro.serving.faults` schedules the failures; this module decides
 what the fleet does about them.  A :class:`FaultContext` binds one
 :class:`~repro.serving.faults.FaultInjector` to an optional
-:class:`ResilienceConfig` and is *attached* through the engine tree
-(:func:`attach_faults`, mirroring
-:func:`repro.obs.telemetry.attach_telemetry`): every leaf engine gains a
+:class:`ResilienceConfig` and is *attached* to the fleet
+(:func:`attach_faults`, one loop over the fleet walk
+:func:`repro.serving.shard.iter_engines`): every engine gains a
 failure hook that consults the injector at each serve attempt, and every
 router (:class:`~repro.serving.shard.ReplicaGroup`,
 :class:`~repro.serving.shard.ShardedEngine`) gains the context it needs
@@ -512,40 +512,21 @@ def _make_hook(ctx: FaultContext, shard: int, replica: int):
     return hook
 
 
-def attach_faults(engine, ctx: Optional[FaultContext]) -> None:
-    """Plant a fault context across an engine tree (None detaches).
+def attach_faults(fleet, ctx: Optional[FaultContext]) -> None:
+    """Plant a fault context on every node of a fleet (None detaches).
 
-    Mirrors :func:`repro.obs.telemetry.attach_telemetry`: the tree is
-    walked duck-typed (``.shards`` on scatter-gather routers,
-    ``.replicas`` on replica groups), routers get the context itself
-    (as ``_faults``, plus their shard index as ``_fault_site``) and
-    every leaf engine gets a per-site failure hook.  Sessions re-invoke
-    this after every live scale event, exactly like telemetry.
+    Routers get the context itself as ``_faults`` (a replica group also
+    its shard index as ``_fault_site``); every engine gets the failure
+    hook of its ``(shard, replica)`` site.  Sessions re-invoke this
+    after every live scale event, because scaling builds a new fleet.
     """
-    if engine is None:
-        return
-    shards = getattr(engine, "shards", None)
-    if shards is not None:
-        engine._faults = ctx
-        for shard_index, shard in enumerate(shards):
-            _attach_shard(shard, ctx, shard_index)
-    else:
-        _attach_shard(engine, ctx, 0)
+    # Imported here: the router module imports this one.
+    from repro.serving.shard import iter_engines
 
-
-def _attach_shard(node, ctx: Optional[FaultContext], shard_index: int) -> None:
-    replicas = getattr(node, "replicas", None)
-    if replicas is not None:
-        node._faults = ctx
-        node._fault_site = shard_index
-        for replica_index, replica in enumerate(replicas):
-            _plant_hook(replica, ctx, shard_index, replica_index)
-    else:
-        _plant_hook(node, ctx, shard_index, 0)
-
-
-def _plant_hook(
-    engine, ctx: Optional[FaultContext], shard: int, replica: int
-) -> None:
-    engine._fault_site = (shard, replica)
-    engine._fault_hook = None if ctx is None else _make_hook(ctx, shard, replica)
+    for node, shard, replica in iter_engines(fleet):
+        if replica is not None:
+            node._fault_hook = None if ctx is None else _make_hook(ctx, shard, replica)
+        else:
+            node._faults = ctx
+            if shard is not None:
+                node._fault_site = shard

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.pipeline import QueryResult, ServeQuery
 from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S
-from repro.obs.telemetry import Telemetry, attach_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.serving.admission import ACCEPT, DEGRADE, SHED, AdmissionController
 from repro.serving.cache import ServingCache
 from repro.serving.faults import FaultError, FaultPlan
@@ -56,7 +56,12 @@ from repro.serving.resilience import (
     failed_batch_result,
 )
 from repro.serving.scheduler import Batch, MicroBatchConfig, MicroBatchScheduler
-from repro.serving.shard import migration_cost, plan_scale_migration
+from repro.serving.shard import (
+    ReplicaGroup,
+    iter_engines,
+    migration_cost,
+    plan_scale_migration,
+)
 from repro.serving.slo import (
     RequestRecord,
     SLOReport,
@@ -125,32 +130,6 @@ class ServingResult:
 
 #: A cached answer: (items, scores).
 _Cached = Tuple[Tuple[int, ...], Tuple[float, ...]]
-
-
-def _primary_engine(engine) -> object:
-    """Descend routers (shards[0] / replicas[0]) to a concrete engine."""
-    seen = 0
-    while seen < 8:  # routers never nest deeper than shard -> replica
-        if hasattr(engine, "shards"):
-            engine = engine.shards[0]
-        elif hasattr(engine, "replicas"):
-            engine = engine.replicas[0]
-        else:
-            return engine
-        seen += 1
-    return engine
-
-
-def _collect_spill(engine) -> Tuple[int, int]:
-    """(spilled, assigned) totals across an engine's replica groups."""
-    spilled = 0
-    assigned = 0
-    groups = engine.shards if hasattr(engine, "shards") else [engine]
-    for group in groups:
-        if hasattr(group, "spilled"):
-            spilled += group.spilled
-            assigned += sum(group.assigned)
-    return spilled, assigned
 
 
 class _RunObserver:
@@ -490,7 +469,6 @@ class ServingSession:
         self.scaler = scaler
         self.telemetry = telemetry
         if telemetry is not None:
-            attach_telemetry(self.engine, telemetry)
             self.scheduler.telemetry = telemetry
             if scaler is not None and hasattr(scaler, "attach_telemetry"):
                 # Forecast-driven scalers emit fit instants and
@@ -504,10 +482,10 @@ class ServingSession:
                 telemetry=telemetry,
                 process=label,
             )
-            attach_faults(self.engine, self.faults)
             self.scheduler.faults = self.faults
         else:
             self.faults = None
+        self._attach_planes()
         self.price_book = price_book
         self.engine_kind = engine_kind
         self.scale_events: List[ScaleEvent] = []
@@ -515,6 +493,16 @@ class ServingSession:
         self._pending_migration = Cost()
         self._reported_events = 0  # scale events already returned by a run
         self._retired_spill = (0, 0)  # totals from engines already swapped out
+
+    def _attach_planes(self) -> None:
+        """Plant the session's telemetry and fault plane on every node of
+        the fleet.  A plane the session does not carry stays as it is,
+        because the studies reuse one fleet across sessions."""
+        if self.telemetry is not None:
+            for node, _, _ in iter_engines(self.engine):
+                node._obs = self.telemetry
+        if self.faults is not None:
+            attach_faults(self.engine, self.faults)
 
     def _query_for(self, request: Request) -> ServeQuery:
         return self.workload[request.user % len(self.workload)]
@@ -528,6 +516,8 @@ class ServingSession:
         the session opens hot instead of paying the cold-start misses.
         Serving and fill energy are real work -- they are charged to the
         next :meth:`run`'s ledger under "Warm-up".  Returns that cost.
+        As on the serve path, a dropped or partial answer is billed but
+        never cached.
         """
         if self.cache is None:
             raise ValueError("cannot warm a session without a cache")
@@ -541,7 +531,8 @@ class ServingSession:
             seen.add(query)
             result = self.engine.recommend_query(query)
             serve_cost = serve_cost.then(result.cost)
-            pairs.append((query, (tuple(result.items), tuple(result.scores))))
+            if not (result.failed or result.partial):
+                pairs.append((query, (tuple(result.items), tuple(result.scores))))
         fill_cost = self.cache.warm(pairs)
         self._warm_cost = self._warm_cost.then(serve_cost).then(fill_cost)
         return self._warm_cost
@@ -568,7 +559,9 @@ class ServingSession:
         new = (shards, replicas)
         if new == self.deployment:
             return None
-        primary = _primary_engine(self.engine)
+        primary = next(
+            node for node, _, replica in iter_engines(self.engine) if replica is not None
+        )
         try:
             num_items = primary.filtering_model.config.num_items
             embedding_dim = primary.filtering_model.config.embedding_dim
@@ -586,16 +579,11 @@ class ServingSession:
         if self.cache is not None and moved_ids.size:
             invalidated, scan_cost = self.cache.invalidate(moved_ids)
             cost = cost.then(scan_cost)
-        self._retire_engine_stats()
+        self._retired_spill = self._spill_totals()
         self.engine = self.engine_factory(shards, replicas)
-        if self.telemetry is not None:
-            # The factory built a fresh engine tree; without re-attachment
-            # the swap would silently drop instrumentation mid-run.
-            attach_telemetry(self.engine, self.telemetry)
-        if self.faults is not None:
-            # Same for the fault plane: new replicas must inherit the
-            # failure hooks (and the breakers keyed by site survive).
-            attach_faults(self.engine, self.faults)
+        # The factory built a fresh fleet: re-plant both planes (the
+        # breakers, keyed by site, survive the swap).
+        self._attach_planes()
         event = ScaleEvent(
             time_s=now_s,
             old_deployment=self.deployment,
@@ -622,17 +610,18 @@ class ServingSession:
             ).inc(process=self.label)
         return event
 
-    def _retire_engine_stats(self) -> None:
-        """Fold the outgoing engine's spill counters into the session."""
-        spilled, assigned = _collect_spill(self.engine)
-        retired_spilled, retired_assigned = self._retired_spill
-        self._retired_spill = (retired_spilled + spilled, retired_assigned + assigned)
+    def _spill_totals(self) -> Tuple[int, int]:
+        """(spilled, assigned) over the live fleet's replica groups plus
+        the fleets already swapped out."""
+        spilled, assigned = self._retired_spill
+        for node, _, _ in iter_engines(self.engine):
+            if isinstance(node, ReplicaGroup):
+                spilled += node.spilled
+                assigned += sum(node.assigned)
+        return spilled, assigned
 
     def _spill_stats(self) -> Optional[Dict[str, object]]:
-        spilled, assigned = _collect_spill(self.engine)
-        retired_spilled, retired_assigned = self._retired_spill
-        spilled += retired_spilled
-        assigned += retired_assigned
+        spilled, assigned = self._spill_totals()
         if assigned == 0:
             return None
         return {

@@ -41,7 +41,7 @@ slice.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +56,6 @@ from repro.core.pipeline import (
     ServeQuery,
 )
 from repro.energy.accounting import ZERO_COST, Cost, Ledger
-from repro.gpu.device import GPUDeviceModel, GTX1080
 from repro.serving.faults import FaultError
 from repro.serving.resilience import failed_batch_result, failed_query_result
 
@@ -67,20 +66,9 @@ __all__ = [
     "plan_scale_migration",
     "ReplicaGroup",
     "ShardedEngine",
+    "iter_engines",
     "make_sharded_engine",
 ]
-
-
-def _member_merge_cost(members: Sequence[object], num_entries: int) -> Cost:
-    """The platform top-k merge model shared by a router's members.
-
-    Scatter-gather routers (:class:`ShardedEngine`) and replica routers
-    (:class:`ReplicaGroup`) both charge the merge through the platform of
-    their *first* member -- the primary engine whose front-end owns the
-    gather in a heterogeneous group.  One helper, one formula: replicated
-    and unreplicated merges charge identical energy by construction.
-    """
-    return members[0].merge_cost(num_entries)
 
 
 def partition_corpus(num_items: int, num_shards: int) -> List[np.ndarray]:
@@ -128,12 +116,9 @@ class ReplicaGroup:
     the sum, and recommendations never depend on the routing.
     """
 
-    #: Telemetry planted by :func:`repro.obs.attach_telemetry`; see
-    #: :class:`repro.core.pipeline._EngineBase`.
+    #: Telemetry and fault plane, planted on every node of the fleet
+    #: (see :func:`iter_engines`); None = that plane is absent.
     _obs = None
-
-    #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no fault plane: no breakers, no fault clock).
     _faults = None
     #: This group's shard index inside the enclosing ShardedEngine.
     _fault_site = 0
@@ -163,10 +148,6 @@ class ReplicaGroup:
         self.assigned = [0] * len(self.replicas)
         #: Queries routed past the cheapest replica (spillover mode only).
         self.spilled = 0
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.replicas)
 
     @property
     def top_k(self) -> int:
@@ -575,19 +556,18 @@ class ReplicaGroup:
         }
 
     def merge_cost(self, num_entries: int) -> Cost:
-        """Expose the members' platform merge model (router nesting)."""
-        return _member_merge_cost(self.replicas, num_entries)
+        """The gather's price on the first member's platform: the primary
+        engine whose front-end owns the merge in a heterogeneous group,
+        so replicated and unreplicated merges charge identical energy."""
+        return self.replicas[0].merge_cost(num_entries)
 
 
 class ShardedEngine:
     """Scatter-gather serving over N corpus-partitioned engines."""
 
-    #: Telemetry planted by :func:`repro.obs.attach_telemetry`; see
-    #: :class:`repro.core.pipeline._EngineBase`.
+    #: Telemetry and fault plane, planted on every node of the fleet
+    #: (see :func:`iter_engines`); None = that plane is absent.
     _obs = None
-
-    #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no fault plane: no breakers, no fault clock).
     _faults = None
 
     def __init__(self, shards: Sequence[object], top_k: int):
@@ -611,10 +591,6 @@ class ShardedEngine:
         self._merge_cost_cache: Dict[int, Cost] = {}
 
     @property
-    def num_shards(self) -> int:
-        return len(self.shards)
-
-    @property
     def expected_query_latency_s(self) -> Optional[float]:
         """Scatter-gather work estimate: the slowest shard dominates
         (None before any shard has served)."""
@@ -632,10 +608,10 @@ class ShardedEngine:
         return self.serve_batch([query]).results[0]
 
     def _merge_cost_for(self, num_entries: int) -> Cost:
-        """Batch-cached :func:`_member_merge_cost` (priced once per count)."""
+        """Batch-cached :meth:`merge_cost` (priced once per count)."""
         cached = self._merge_cost_cache.get(num_entries)
         if cached is None:
-            cached = _member_merge_cost(self.shards, num_entries)
+            cached = self.merge_cost(num_entries)
             self._merge_cost_cache[num_entries] = cached
         return cached
 
@@ -688,7 +664,7 @@ class ShardedEngine:
                 # anchor (lanes advance it locally for their own
                 # retries/hedges).
                 ctx.begin_round(round_s)
-                if getattr(shard, "replicas", None) is not None:
+                if isinstance(shard, ReplicaGroup):
                     shard_batch = shard.serve_batch(queries)
                 else:
                     shard_batch = self._serve_bare_shard(
@@ -783,8 +759,9 @@ class ShardedEngine:
         return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
 
     def merge_cost(self, num_entries: int) -> Cost:
-        """Expose the underlying platform's merge model (router nesting)."""
-        return _member_merge_cost(self.shards, num_entries)
+        """The gather's price on the first shard's platform (see
+        :meth:`ReplicaGroup.merge_cost`)."""
+        return self.shards[0].merge_cost(num_entries)
 
     def _serve_bare_shard(
         self,
@@ -832,6 +809,31 @@ class ShardedEngine:
         return batch
 
 
+def iter_engines(fleet) -> Iterator[Tuple[object, Optional[int], Optional[int]]]:
+    """Every node of a fleet, parents first, as ``(node, shard, replica)``.
+
+    The fleet's shape lives here: a :class:`ShardedEngine` yields
+    ``(router, None, None)`` and then its shards in order, a
+    :class:`ReplicaGroup` yields ``(group, shard, None)`` and then its
+    replicas, and an engine yields its ``(shard, replica)`` site -- the
+    address the fault plane targets.  Engines are the nodes with a
+    replica index.  A fleet that is a bare group or engine is shard 0,
+    and a bare shard's engine is replica 0.
+    """
+    if isinstance(fleet, ShardedEngine):
+        yield fleet, None, None
+        shards = fleet.shards
+    else:
+        shards = [fleet]
+    for shard, node in enumerate(shards):
+        if isinstance(node, ReplicaGroup):
+            yield node, shard, None
+            for replica, engine in enumerate(node.replicas):
+                yield engine, shard, replica
+        else:
+            yield node, shard, 0
+
+
 def make_sharded_engine(
     kind: str,
     filtering_model,
@@ -845,8 +847,6 @@ def make_sharded_engine(
     spillover_replicas_per_shard: int = 0,
     spillover_slo_s: Optional[float] = None,
     spill_headroom: float = 0.8,
-    spillover_device: GPUDeviceModel = GTX1080,
-    **engine_kwargs,
 ) -> ShardedEngine:
     """Build a :class:`ShardedEngine` of ``kind`` ('imars' or 'gpu').
 
@@ -863,15 +863,17 @@ def make_sharded_engine(
 
     ``spillover_replicas_per_shard > 0`` (iMARS only) additionally puts
     that many :class:`~repro.core.pipeline.GPUSpilloverEngine` replicas
-    -- same models, same seed, same slice, bit-identical recommendations
-    -- behind each shard, and the group routes cost-aware against
-    ``spillover_slo_s`` (required): the IMC primaries absorb traffic up
-    to ``spill_headroom`` of the latency target, the GPUs absorb only
-    the overflow -- the heterogeneous-fleet trade the E-hetero study
-    measures.
+    -- built exactly like their IMC peers (same models, seed and slice),
+    so their recommendations are bit-identical -- behind each shard, and
+    the group routes cost-aware against ``spillover_slo_s`` (required):
+    the IMC primaries absorb traffic up to ``spill_headroom`` of the
+    latency target, the GPUs absorb only the overflow -- the
+    heterogeneous-fleet trade the E-hetero study measures.
     """
     if kind not in ("imars", "gpu"):
         raise ValueError(f"unknown engine kind {kind!r} (use 'imars' or 'gpu')")
+    if num_candidates < 1:
+        raise ValueError(f"candidate count must be >= 1, got {num_candidates}")
     if replicas_per_shard < 1:
         raise ValueError(
             f"replicas per shard must be >= 1, got {replicas_per_shard}"
@@ -888,14 +890,9 @@ def make_sharded_engine(
                 "spillover routing needs spillover_slo_s (the latency target "
                 "that decides when overflow leaves the IMC primaries)"
             )
-        if engine_kwargs.get("analog_dnn"):
-            raise ValueError(
-                "analog_dnn primaries cannot be mirrored bit-identically by "
-                "GPU spillover replicas (a CUDA port has no crossbar noise)"
-            )
     num_items = filtering_model.config.num_items
     partitions = partition_corpus(num_items, num_shards)
-    per_shard_candidates = max(1, math.ceil(num_candidates / num_shards))
+    per_shard_candidates = math.ceil(num_candidates / num_shards)
 
     def build_engine(shard_index: int, subset: np.ndarray) -> object:
         if kind == "imars":
@@ -909,7 +906,6 @@ def make_sharded_engine(
                 top_k=top_k,
                 seed=seed + shard_index,
                 item_subset=subset,
-                **engine_kwargs,
             )
         return GPUReferenceEngine(
             filtering_model,
@@ -917,19 +913,9 @@ def make_sharded_engine(
             num_candidates=per_shard_candidates,
             top_k=top_k,
             item_subset=subset,
-            **engine_kwargs,
         )
 
     def build_spillover(shard_index: int, subset: np.ndarray) -> object:
-        # Forward the primaries' engine kwargs (signature_bits, cost_model,
-        # ...): the GPU replica must be built exactly like its IMC peers or
-        # the bit-identical-recommendations invariant breaks.  analog_dnn
-        # was rejected above; it has no GPU counterpart.
-        spill_kwargs = {
-            key: value
-            for key, value in engine_kwargs.items()
-            if key != "analog_dnn"
-        }
         return GPUSpilloverEngine(
             filtering_model,
             ranking_model,
@@ -938,8 +924,6 @@ def make_sharded_engine(
             top_k=top_k,
             seed=seed + shard_index,
             item_subset=subset,
-            device=spillover_device,
-            **spill_kwargs,
         )
 
     shards: List[object] = []

@@ -12,6 +12,8 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.serving.shard import iter_engines
+
 settings.register_profile("dev", deadline=None)
 settings.register_profile(
     "ci",
@@ -24,24 +26,23 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
-def _per_query_twin(engine):
-    """Make ``engine`` serve every batch as per-query ``recommend`` calls.
+def _per_query_twin(fleet):
+    """Make every engine of ``fleet`` serve each batch as per-query
+    ``recommend`` calls.
 
     This is the reference each engine's batch path is pinned to.
     ``serve_batch`` still applies the engine's batch cost model, fault
     hook and EWMA updates, so a twin's batch cost, EWMAs and kernel span
-    are what the engine derives from per-query results.  A shard router
-    (``.shards``) or replica group (``.replicas``) is twinned member by
-    member.  Returns ``engine``.
+    are what the engine derives from per-query results.  ``fleet`` may
+    be a bare engine, a replica group or a shard router.  Returns
+    ``fleet``.
     """
-    members = getattr(engine, "shards", None) or getattr(engine, "replicas", None)
-    if members is None:
-        engine._serve_results = lambda queries: [
-            engine.recommend_query(query) for query in queries
-        ]
-    for member in members or ():
-        _per_query_twin(member)
-    return engine
+    for engine, _, replica in iter_engines(fleet):
+        if replica is not None:
+            engine._serve_results = lambda queries, engine=engine: [
+                engine.recommend_query(query) for query in queries
+            ]
+    return fleet
 
 
 @pytest.fixture(scope="session")

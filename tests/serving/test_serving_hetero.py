@@ -1,5 +1,5 @@
 """Tests for the heterogeneous fleet: GPU spillover engine, cost-aware
-routing, the shared merge-cost helper and the migration cost model."""
+routing, the routers' shared merge rule and the migration cost model."""
 
 import numpy as np
 import pytest
@@ -164,22 +164,20 @@ class TestSpilloverRouting:
         with pytest.raises(ValueError):
             ReplicaGroup([engine, other])  # top-k disagreement
 
-    def test_engine_kwargs_forwarded_to_spillover_replicas(self, serving_setup):
-        """Regression: non-default engine kwargs (signature_bits) must
-        reach the GPU replicas too, or routing changes recommendations."""
+    def test_spillover_replicas_match_primaries(self, serving_setup):
+        """The builder makes GPU replicas exactly like their IMC peers, so
+        routing overflow to them never changes a recommendation."""
         _, filtering, ranking, mapping, workload = serving_setup
         reference = make_sharded_engine(
             "imars", filtering, ranking, 1, mapping=mapping,
-            num_candidates=12, top_k=4, seed=0, signature_bits=48,
+            num_candidates=12, top_k=4, seed=0,
         )
         hetero = make_sharded_engine(
             "imars", filtering, ranking, 1, mapping=mapping,
-            num_candidates=12, top_k=4, seed=0, signature_bits=48,
+            num_candidates=12, top_k=4, seed=0,
             spillover_replicas_per_shard=1, spillover_slo_s=1e-4,
         )
         group = hetero.shards[0]
-        assert group.replicas[0].signature_bits == 48
-        assert group.replicas[1].signature_bits == 48
         batch = [workload[user % len(workload)] for user in range(25)]
         for _ in range(3):
             expected = reference.serve_batch(batch)
@@ -187,15 +185,6 @@ class TestSpilloverRouting:
             for lhs, rhs in zip(expected.results, observed.results):
                 assert lhs.items == rhs.items
         assert group.assigned[1] > 0  # the GPU replica really served
-
-    def test_analog_primaries_cannot_take_spillover(self, serving_setup):
-        _, filtering, ranking, mapping, _ = serving_setup
-        with pytest.raises(ValueError):
-            make_sharded_engine(
-                "imars", filtering, ranking, 1, mapping=mapping,
-                spillover_replicas_per_shard=1, spillover_slo_s=1e-3,
-                analog_dnn=True,
-            )
 
     def test_make_sharded_engine_spillover_validation(self, serving_setup):
         _, filtering, ranking, mapping, _ = serving_setup

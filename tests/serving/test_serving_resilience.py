@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import BatchResult, QueryResult, ServeQuery
 from repro.energy.accounting import Cost, Ledger
+from repro.serving.cache import ServingCache
 from repro.serving.faults import CRASH, SHARD_OUTAGE, FaultEvent, FaultPlan
 from repro.serving.resilience import (
     CLOSED,
@@ -37,7 +38,7 @@ from repro.serving.resilience import (
 )
 from repro.serving.session import ServingSession
 from repro.serving.shard import ReplicaGroup, ShardedEngine, make_sharded_engine
-from repro.serving.traffic import PoissonTraffic
+from repro.serving.traffic import PoissonTraffic, Request
 
 
 # -- circuit-breaker state machine ----------------------------------------
@@ -414,6 +415,43 @@ def test_dark_shard_without_resilience_drops_requests(serving_setup, _traffic):
     assert bare.fault_stats["counters"]["failed_queries"] >= 1
     assert bare.report.availability < 1.0
     assert bare.report.error_rate > 0.0
+
+
+@pytest.mark.parametrize(
+    "resilience", [None, ResilienceConfig()], ids=["strict", "resilient"]
+)
+def test_warm_never_caches_failed_or_partial_answers(serving_setup, resilience):
+    """Warm-up follows the serve path's cache rule.  With shard 1 dark
+    from t = 0, warming users 0-3 caches nothing, so the requests that
+    follow reach the fleet and report the outage (dropped, or served
+    degraded) instead of hitting four empty or shard-0-only answers as
+    whole ones.  The partial answers' serve work is still billed."""
+    _, filtering, ranking, mapping, workload = serving_setup
+    engine = make_sharded_engine(
+        "imars", filtering, ranking, 2, mapping=mapping,
+        num_candidates=24, top_k=5, seed=0,
+    )
+    plan = FaultPlan((FaultEvent(SHARD_OUTAGE, 0.0, 1e6, shard=1),))
+    session = ServingSession(
+        engine,
+        workload,
+        cache=ServingCache(16, rows_per_entry=5),
+        faults=plan,
+        resilience=resilience,
+    )
+    warm_cost = session.warm(range(4))
+    assert session.cache.stats()["entries"] == 0
+    result = session.run(
+        [Request(request_id=user, arrival_s=0.0, user=user) for user in range(4)]
+    )
+    assert not any(record.cache_hit for record in result.records)
+    if resilience is None:
+        assert all(record.failed for record in result.records)
+        assert result.report.availability == 0.0
+    else:
+        assert all(record.degraded and record.items for record in result.records)
+        warm_up = result.ledger.by_category()["Warm-up"]
+        assert warm_up.energy_pj == warm_cost.energy_pj > 0.0
 
 
 # -- empty-plan bit-identity (Hypothesis, arbitrary topologies) ------------

@@ -1,12 +1,17 @@
-"""Tests for serve_batch, corpus sharding, replica groups and the router."""
+"""Tests for serve_batch, corpus sharding, replica groups, the router
+and the fleet walk."""
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import GPUReferenceEngine, IMARSEngine
+from repro.energy.accounting import Cost
+from repro.serving.faults import CRASH, FaultError, FaultEvent, FaultPlan
+from repro.serving.resilience import FaultContext, attach_faults
 from repro.serving.shard import (
     ReplicaGroup,
     ShardedEngine,
+    iter_engines,
     make_sharded_engine,
     partition_corpus,
 )
@@ -180,6 +185,16 @@ class TestShardedEngine:
         with pytest.raises(ValueError):
             make_sharded_engine("imars", filtering, ranking, 2, mapping=None)
 
+    @pytest.mark.parametrize("num_candidates", [0, -3])
+    def test_rejects_candidate_budget_below_one(self, serving_setup, num_candidates):
+        """Like every engine constructor, the builder refuses a budget
+        below one instead of rounding it up to one candidate per shard."""
+        _, filtering, ranking, _, _ = serving_setup
+        with pytest.raises(ValueError, match="candidate"):
+            make_sharded_engine(
+                "gpu", filtering, ranking, 2, num_candidates=num_candidates
+            )
+
 
 class TestReplicaGroup:
     def _engines(self, serving_setup, replicas):
@@ -251,3 +266,89 @@ class TestReplicaGroup:
                 "imars", filtering, ranking, 2, mapping=mapping,
                 replicas_per_shard=0,
             )
+
+
+# -- the fleet walk --------------------------------------------------------
+
+
+def _imars(setup):
+    _, filtering, ranking, mapping, _ = setup
+    return IMARSEngine(filtering, ranking, mapping, num_candidates=12, top_k=4, seed=0)
+
+
+def _router(setup, shards, **options):
+    _, filtering, ranking, mapping, _ = setup
+    return make_sharded_engine(
+        "imars", filtering, ranking, shards, mapping=mapping,
+        num_candidates=12, top_k=4, seed=0, **options,
+    )
+
+
+def _bare_engine(setup):
+    engine = _imars(setup)
+    return engine, [(engine, 0, 0)]
+
+
+def _bare_group(setup):
+    group = ReplicaGroup([_imars(setup), _imars(setup)])
+    first, second = group.replicas
+    return group, [(group, 0, None), (first, 0, 0), (second, 0, 1)]
+
+
+def _bare_shards(setup):
+    router = _router(setup, 3)
+    first, second, third = router.shards
+    return router, [
+        (router, None, None), (first, 0, 0), (second, 1, 0), (third, 2, 0)
+    ]
+
+
+def _two_groups(setup, **options):
+    router = _router(setup, 2, **options)
+    first, second = router.shards
+    return router, [
+        (router, None, None),
+        (first, 0, None), (first.replicas[0], 0, 0), (first.replicas[1], 0, 1),
+        (second, 1, None), (second.replicas[0], 1, 0), (second.replicas[1], 1, 1),
+    ]
+
+
+_WALKS = {
+    "engine": _bare_engine,
+    "replica-group": _bare_group,
+    "bare-shards": _bare_shards,
+    "replica-groups": lambda setup: _two_groups(setup, replicas_per_shard=2),
+    "spillover-groups": lambda setup: _two_groups(
+        setup, spillover_replicas_per_shard=1, spillover_slo_s=1e-3
+    ),
+}
+
+
+@pytest.mark.parametrize("topology", list(_WALKS))
+def test_fleet_walk_yields_each_node_once_parents_first(serving_setup, topology):
+    """The walk visits every router, group and engine once, parents
+    before children, and an engine's site is the one the fault plane
+    targets: a crash planned there fires that engine's hook and no other."""
+    fleet, expected = _WALKS[topology](serving_setup)
+    walk = list(iter_engines(fleet))
+    assert len(walk) == len(expected)
+    for (node, *site), (want, *want_site) in zip(walk, expected):
+        assert node is want and site == want_site
+    engines = [(node, shard, replica) for node, shard, replica in walk if replica is not None]
+    for target, shard, replica in engines:
+        ctx = FaultContext(
+            FaultPlan((FaultEvent(CRASH, 0.0, 1.0, shard=shard, replica=replica),))
+        )
+        attach_faults(fleet, ctx)
+        crashed = []
+        for node, _, _ in engines:
+            try:
+                node._fault_hook(Cost(), 1)
+            except FaultError:
+                crashed.append(node)
+        assert len(crashed) == 1 and crashed[0] is target
+    for node, shard, replica in walk:
+        if replica is None:
+            assert node._faults is ctx
+        if replica is None and shard is not None:
+            assert node._fault_site == shard

@@ -18,7 +18,7 @@ from repro.core.pipeline import GPUReferenceEngine, GPUSpilloverEngine, IMARSEng
 from repro.energy.accounting import Cost
 from repro.models.youtube_dnn import _SCORE_CHUNK_ROWS, RankingServingScorer
 from repro.nn.stable import stable_matmul
-from repro.serving.shard import _member_merge_cost, make_sharded_engine
+from repro.serving.shard import make_sharded_engine
 
 
 def _snapshot(results):
@@ -152,8 +152,8 @@ class TestMergeEnergyIdentity:
             ]
             assert len(merge_entries) == 1
             # The cached price equals the direct platform model call ...
-            assert merge_entries[0] == _member_merge_cost(
-                router.shards, entry_counts[position]
+            assert merge_entries[0] == router.shards[0].merge_cost(
+                entry_counts[position]
             )
             merge_total = merge_total.then(merge_entries[0])
             # ... and a batch-of-1 serve charges the identical merge.
