@@ -103,7 +103,9 @@ print(f"\n{NUM_REQUESTS} mixed requests over {span * 1e3:.2f} ms "
       f"SLOs: movielens {slo_a_ms:.3f} ms, bursty-b {slo_b_ms:.3f} ms)")
 
 
-def evaluate(shards, replicas):
+def evaluate(shards, replicas, spillover):
+    # ``spillover`` (GPU replicas per shard) stays 0: the config below
+    # allows none, so every candidate is an IMC-only fleet.
     engine = make_sharded_engine(
         "imars", filtering, ranking, shards, mapping=mapping,
         num_candidates=NUM_CANDIDATES, top_k=TOP_K, seed=0,
@@ -142,7 +144,7 @@ outcome = Autoscaler(
 ).run()
 print(outcome.format())
 
-shards, replicas = outcome.chosen
+shards, replicas, _ = outcome.chosen
 print(f"\nChosen deployment: {shards} shard(s) x {replicas} replica(s)")
 for tenant, tenant_report in outcome.best.tenant_reports.items():
     print(tenant_report.format_row())

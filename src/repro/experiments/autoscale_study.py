@@ -179,6 +179,7 @@ def run_autoscale_study(
         def evaluate(
             shards: int,
             replicas: int,
+            spillover: int,  # always 0: this study keeps the fleet IMC-only
             requests=requests,
             pattern_workload=pattern_workload,
             warm_users=warm_users,
@@ -272,7 +273,8 @@ def run_autoscale_study(
     )
     report.extras["outcomes"] = outcomes
     report.extras["chosen"] = {
-        name: outcome.chosen for name, outcome in outcomes.items()
+        name: (outcome.best.shards, outcome.best.replicas)
+        for name, outcome in outcomes.items()
     }
     report.extras["rate_qps"] = rate_qps
     report.extras["slo_ms"] = slo_ms

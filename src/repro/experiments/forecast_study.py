@@ -260,7 +260,6 @@ def run_forecast_study(
             lead_time_s=lead_time_s,
             horizon_s=expected_duration_s,
             step_s=plan_step_s,
-            fit_after_arrivals=params["forecaster_min_arrivals"],
             act=act,
         )
 
@@ -442,7 +441,7 @@ def run_forecast_study(
     )
 
     def make_hetero_evaluate(requests):
-        def evaluate(shards: int, replicas: int, spillover: int = 0):
+        def evaluate(shards: int, replicas: int, spillover: int):
             kwargs = {}
             if spillover:
                 kwargs = dict(
@@ -485,7 +484,7 @@ def run_forecast_study(
     ).run()
     saturating_evaluate = make_hetero_evaluate(saturating_requests)
     homogeneous = Autoscaler(
-        lambda shards, replicas: saturating_evaluate(shards, replicas, 0),
+        saturating_evaluate,
         AutoscalerConfig(
             p95_slo_ms=hetero_slo_s * 1e3,
             max_shards=1,

@@ -52,9 +52,8 @@ Pipeline of one simulation (:class:`~repro.serving.session.ServingSession`):
    telemetry);
 7. the :mod:`~repro.serving.autoscaler` closes the loop two ways: the
    replaying :class:`~repro.serving.autoscaler.Autoscaler` searches
-   (shards, replicas) -- or, heterogeneously, (shards, replicas,
-   spillover_replicas) with energy-aware placement -- against recorded
-   traffic for capacity planning, while the live
+   (shards, replicas, spillover_replicas) with energy-aware placement
+   against recorded traffic for capacity planning, while the live
    :class:`~repro.serving.autoscaler.OnlineScaler` (or a
    :class:`~repro.serving.autoscaler.ScheduledScalePlan`) rescales the
    running session itself -- every online event paying a state-migration
@@ -119,7 +118,6 @@ from repro.serving.forecast import (
     PredictiveScaler,
     TrafficForecaster,
     build_scale_plan,
-    plan_scale_events,
 )
 from repro.serving.faults import (
     FaultError,
@@ -250,7 +248,6 @@ __all__ = [
     "migration_cost",
     "migration_plan",
     "partition_corpus",
-    "plan_scale_events",
     "plan_scale_migration",
     "price_serving_run",
     "slo_violation_windows",

@@ -1,19 +1,22 @@
-"""Closed-loop autoscaler: grow (shards, replicas) until the SLO holds.
+"""Closed-loop autoscaler: grow (shards, replicas, spillover) until the SLO holds.
 
-The serving layer has two orthogonal scale-out axes with different
-physics (and different energy bills):
+The serving layer has three scale-out axes with different physics (and
+different energy bills):
 
 * **shards** partition the corpus, cutting *per-query service latency*
   (each shard ranks a ~1/N slice with a ~1/N candidate budget);
 * **replicas** duplicate a shard's engine, cutting *queueing* (each
   dispatch round splits across R copies, so occupancy per batch
-  approaches 1/R).
+  approaches 1/R);
+* **spillover replicas** add GPU engines beside each shard's IMC
+  primaries: fast on deep backlogs, but an order of magnitude hungrier
+  per query (bounded to 0 unless the operator allows them).
 
 Which axis a violated SLO needs depends on the traffic: an overloaded
 deployment queues (add replicas), a lightly loaded one with a tight
 latency contract is service-bound (add shards).  Rather than hard-coding
 that diagnosis, the :class:`Autoscaler` closes the loop *empirically*:
-from the current config it simulates both single-step scale-outs against
+from the current config it simulates every single-step scale-out against
 the same recorded traffic, keeps whichever one measures better, and
 repeats until every tenant's p95 contract holds or the resource bounds
 are hit.  Among every config it measured that meets the SLO, it reports
@@ -45,6 +48,7 @@ timetable (pre-provisioning for a known flash crowd).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,7 +56,7 @@ import numpy as np
 
 from repro.serving.scheduler import Batch
 from repro.serving.session import ServingResult
-from repro.serving.slo import RequestRecord, SLOReport
+from repro.serving.slo import RequestRecord, SLOReport, format_or_dash
 
 __all__ = [
     "AutoscalerConfig",
@@ -65,29 +69,35 @@ __all__ = [
 ]
 
 
+def deployment_axes(deployment: Sequence[int]) -> Tuple[int, int]:
+    """``(shards, replicas)`` as ints; raises unless both are whole and >= 1."""
+    shards, replicas = deployment
+    for axis in (shards, replicas):
+        if not (float(axis).is_integer() and axis >= 1):
+            raise ValueError(
+                f"deployment axes must be whole numbers >= 1, got {tuple(deployment)}"
+            )
+    return int(shards), int(replicas)
+
+
 @dataclass(frozen=True)
 class AutoscalerConfig:
     """Contract and search bounds of one autoscaling run.
 
     ``p95_slo_ms`` is the global latency contract; ``tenant_slos_ms``
     optionally tightens it per tenant (checked against each tenant's own
-    p95).  The loop may evaluate at most ``max_steps`` scale-out rounds
-    of at most two candidate configs each.
+    p95).  The search starts from one shard, one replica and no GPU
+    spillover, and may evaluate at most ``max_steps`` scale-out rounds
+    of at most three candidate configs each.
     """
 
     p95_slo_ms: float
     tenant_slos_ms: Mapping[str, float] = field(default_factory=dict)
-    min_shards: int = 1
     max_shards: int = 4
-    min_replicas: int = 1
     max_replicas: int = 4
     max_steps: int = 6
     #: GPU spillover replicas per shard -- the heterogeneous third axis.
-    #: ``max_spillover_replicas=0`` (the default) keeps the search on the
-    #: homogeneous (shards, replicas) grid, ``evaluate`` is called with
-    #: two arguments, and every ``config_key`` stays a 2-tuple, so
-    #: existing homogeneous runs are byte-for-byte unchanged.
-    min_spillover_replicas: int = 0
+    #: The default 0 keeps every evaluated deployment IMC-only.
     max_spillover_replicas: int = 0
 
     def __post_init__(self) -> None:
@@ -98,61 +108,43 @@ class AutoscalerConfig:
                 raise ValueError(
                     f"tenant {tenant!r} p95 SLO must be positive, got {slo_ms}"
                 )
-        if not 1 <= self.min_shards <= self.max_shards:
+        if not self.max_shards >= 1:
+            raise ValueError(f"max shards must be >= 1, got {self.max_shards}")
+        if not self.max_replicas >= 1:
+            raise ValueError(f"max replicas must be >= 1, got {self.max_replicas}")
+        if not self.max_spillover_replicas >= 0:
             raise ValueError(
-                f"need 1 <= min_shards <= max_shards, got "
-                f"[{self.min_shards}, {self.max_shards}]"
+                f"max spillover replicas must be >= 0, got "
+                f"{self.max_spillover_replicas}"
             )
-        if not 1 <= self.min_replicas <= self.max_replicas:
-            raise ValueError(
-                f"need 1 <= min_replicas <= max_replicas, got "
-                f"[{self.min_replicas}, {self.max_replicas}]"
-            )
-        if not 0 <= self.min_spillover_replicas <= self.max_spillover_replicas:
-            raise ValueError(
-                f"need 0 <= min_spillover_replicas <= max_spillover_replicas, "
-                f"got [{self.min_spillover_replicas}, "
-                f"{self.max_spillover_replicas}]"
-            )
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise ValueError(f"max steps must be >= 1, got {self.max_steps}")
-
-    @property
-    def heterogeneous(self) -> bool:
-        """Whether the GPU spillover axis is part of the search space."""
-        return self.max_spillover_replicas > 0
 
 
 @dataclass(frozen=True)
 class ScaleStep:
-    """One evaluated deployment config and its measurements.
-
-    ``spillover_replicas`` is the heterogeneous third axis (GPU spillover
-    replicas per shard); it stays 0 on homogeneous searches, where
-    ``config_key`` keeps its historical 2-tuple shape.
-    """
+    """One evaluated deployment config and its measurements."""
 
     shards: int
     replicas: int
+    spillover_replicas: int  # GPU spillover replicas per shard
     report: SLOReport
     tenant_reports: Dict[str, SLOReport]
     meets_slo: bool
     violations: Tuple[str, ...]  # human-readable contract breaches
-    spillover_replicas: int = 0
 
     @property
-    def config_key(self) -> Tuple[int, ...]:
-        """(shards, replicas) -- extended by spillover only when present.
+    def config_key(self) -> Tuple[int, int, int]:
+        """(shards, replicas, spillover_replicas).
 
-        A homogeneous step keeps the 2-tuple key so pinned homogeneous
-        trajectories (and their memo keys) are unchanged; a heterogeneous
-        step carries the GPU axis.  Mixed tuples still compare cleanly:
-        ``(s, r) < (s, r, k)`` for any ``k >= 1``, i.e. ties on the IMC
-        axes prefer the fleet with no GPUs.
+        Ties on the IMC axes sort the fleet with fewer GPUs first.
         """
-        if self.spillover_replicas:
-            return (self.shards, self.replicas, self.spillover_replicas)
-        return (self.shards, self.replicas)
+        return (self.shards, self.replicas, self.spillover_replicas)
+
+    def describe(self) -> str:
+        """``shards=S replicas=R``, plus ``spillover=K`` when it fields GPUs."""
+        spill = f" spillover={self.spillover_replicas}" if self.spillover_replicas else ""
+        return f"shards={self.shards} replicas={self.replicas}{spill}"
 
 
 @dataclass
@@ -164,103 +156,104 @@ class AutoscaleResult:
     converged: bool
 
     @property
-    def chosen(self) -> Tuple[int, ...]:
-        """The deployment the loop settled on.
-
-        A 2-tuple ``(shards, replicas)`` for homogeneous fleets, a
-        3-tuple ``(shards, replicas, spillover_replicas)`` when the
-        chosen step fields GPU spillover replicas.
-        """
+    def chosen(self) -> Tuple[int, int, int]:
+        """The deployment the loop settled on: (shards, replicas, spillover)."""
         return self.best.config_key
 
     def format(self) -> str:
         lines = []
         for step in self.steps:
             marker = "ok " if step.meets_slo else "VIOL"
-            spill = (
-                f" spillover={step.spillover_replicas}"
-                if step.spillover_replicas
-                else ""
-            )
             lines.append(
-                f"  [{marker}] shards={step.shards} replicas={step.replicas}"
-                f"{spill} p95={step.report.p95_ms:8.3f}ms "
-                f"E/req={step.report.energy_per_request_uj:10.4f}uJ"
+                f"  [{marker}] {step.describe()} "
+                f"p95={format_or_dash(step.report.p95_ms, '8.3f')}ms "
+                f"E/req={format_or_dash(step.report.energy_per_request_uj, '10.4f')}uJ"
             )
         state = "converged" if self.converged else "exhausted bounds"
-        chosen = f"shards={self.best.shards} replicas={self.best.replicas}"
-        if self.best.spillover_replicas:
-            chosen += f" spillover={self.best.spillover_replicas}"
-        lines.append(f"  -> {state}: {chosen}")
+        lines.append(f"  -> {state}: {self.best.describe()}")
         return "\n".join(lines)
+
+
+def _pick(steps: Sequence[ScaleStep]) -> ScaleStep:
+    """The min-energy SLO-feasible step, else the lowest-p95 one.
+
+    Ties break on the smaller config.  A step that answered nothing
+    (NaN p95) ranks below every step that answered something.
+    """
+    feasible = [step for step in steps if step.meets_slo]
+    if feasible:
+        return min(
+            feasible,
+            key=lambda step: (step.report.energy_per_request_uj, step.config_key),
+        )
+    return min(
+        steps,
+        key=lambda step: (
+            math.inf if math.isnan(step.report.p95_ms) else step.report.p95_ms,
+            step.config_key,
+        ),
+    )
 
 
 class Autoscaler:
     """Greedy coordinate scale-out, closed over simulated measurements.
 
-    ``evaluate(shards, replicas)`` must return the
+    ``evaluate(shards, replicas, spillover_replicas)`` must return the
     :class:`~repro.serving.session.ServingResult` of serving the *same*
     request stream on that deployment (the experiment builds the engine,
     session, cache and scheduler; the autoscaler only reads SLO reports).
 
-    With ``config.max_spillover_replicas > 0`` the search runs over the
-    heterogeneous ``(shards, replicas, spillover_replicas)`` grid and
-    ``evaluate`` is called with three arguments instead; placement stays
-    energy-aware -- among SLO-feasible deployments the minimum
-    energy-per-request wins, so the loop only fields GPU spillover
-    replicas (an order of magnitude hungrier per query than the IMC
-    fabric) when the homogeneous axes cannot meet the contract.
+    The search starts from ``(1, 1, 0)``.  Placement is energy-aware:
+    among SLO-feasible deployments the minimum energy-per-request wins,
+    so the loop only fields GPU spillover replicas (an order of
+    magnitude hungrier per query than the IMC fabric) when the IMC axes
+    cannot meet the contract.  A deployment that answered no request
+    (all shed or failed) violates the contract.
     """
 
     def __init__(
         self,
-        evaluate: Callable[..., ServingResult],
+        evaluate: Callable[[int, int, int], ServingResult],
         config: AutoscalerConfig,
     ):
         self.evaluate = evaluate
         self.config = config
         self._memo: Dict[Tuple[int, int, int], ScaleStep] = {}
 
-    def _measure(self, shards: int, replicas: int, spillover: int = 0) -> ScaleStep:
+    def _measure(self, shards: int, replicas: int, spillover: int) -> ScaleStep:
         key = (shards, replicas, spillover)
         if key in self._memo:
             return self._memo[key]
-        if self.config.heterogeneous:
-            result = self.evaluate(shards, replicas, spillover)
-        else:
-            result = self.evaluate(shards, replicas)
-        report = result.report
-        tenant_reports = result.tenant_reports
+        result = self.evaluate(shards, replicas, spillover)
+        checks = [("global", result.report, self.config.p95_slo_ms)] + [
+            (f"tenant {tenant!r}", result.tenant_reports.get(tenant), slo_ms)
+            for tenant, slo_ms in sorted(self.config.tenant_slos_ms.items())
+        ]
         violations: List[str] = []
-        if report.p95_ms > self.config.p95_slo_ms:
-            violations.append(
-                f"global p95 {report.p95_ms:.3f}ms > {self.config.p95_slo_ms:.3f}ms"
-            )
-        for tenant, slo_ms in sorted(self.config.tenant_slos_ms.items()):
-            tenant_report = tenant_reports.get(tenant)
-            if tenant_report is None:
-                violations.append(f"tenant {tenant!r} sent no traffic")
-            elif tenant_report.p95_ms > slo_ms:
+        for name, report, slo_ms in checks:
+            if report is None:
+                violations.append(f"{name} sent no traffic")
+            elif math.isnan(report.p95_ms):
+                violations.append(f"{name} answered no request")
+            elif report.p95_ms > slo_ms:
                 violations.append(
-                    f"tenant {tenant!r} p95 {tenant_report.p95_ms:.3f}ms "
-                    f"> {slo_ms:.3f}ms"
+                    f"{name} p95 {report.p95_ms:.3f}ms > {slo_ms:.3f}ms"
                 )
         step = ScaleStep(
             shards=shards,
             replicas=replicas,
-            report=report,
-            tenant_reports=tenant_reports,
+            spillover_replicas=spillover,
+            report=result.report,
+            tenant_reports=result.tenant_reports,
             meets_slo=not violations,
             violations=tuple(violations),
-            spillover_replicas=spillover,
         )
         self._memo[key] = step
         return step
 
-    def _candidates(
-        self, shards: int, replicas: int, spillover: int
-    ) -> List[Tuple[int, int, int]]:
-        """The single-step scale-outs from the current config, in bounds."""
+    def _candidates(self, step: ScaleStep) -> List[Tuple[int, int, int]]:
+        """The single-step scale-outs from ``step``'s config, in bounds."""
+        shards, replicas, spillover = step.config_key
         moves = []
         if shards < self.config.max_shards:
             moves.append((shards + 1, replicas, spillover))
@@ -271,55 +264,25 @@ class Autoscaler:
         return moves
 
     def run(self) -> AutoscaleResult:
-        """Close the loop: measure, scale out along the better axis, repeat."""
-        current = self._measure(
-            self.config.min_shards,
-            self.config.min_replicas,
-            self.config.min_spillover_replicas,
-        )
+        """Close the loop: measure, scale out along the better axis, repeat.
+
+        Each round measures every single-step scale-out and moves to the
+        cheapest one that meets the SLO, else to the one that helped the
+        tail most.
+        """
+        current = self._measure(1, 1, 0)
         steps = [current]
         for _ in range(self.config.max_steps):
             if current.meets_slo:
                 break
-            moves = self._candidates(
-                current.shards, current.replicas, current.spillover_replicas
-            )
+            moves = self._candidates(current)
             if not moves:
                 break  # bounds exhausted while still violating
             measured = [self._measure(*move) for move in moves]
             steps.extend(measured)
-            feasible = [step for step in measured if step.meets_slo]
-            if feasible:
-                # Both axes may satisfy the contract: take the cheaper one.
-                current = min(
-                    feasible,
-                    key=lambda step: (
-                        step.report.energy_per_request_uj,
-                        step.config_key,
-                    ),
-                )
-            else:
-                # Neither does yet: follow the axis that helped the tail more.
-                current = min(
-                    measured,
-                    key=lambda step: (step.report.p95_ms, step.config_key),
-                )
-        feasible_steps = [step for step in steps if step.meets_slo]
-        if feasible_steps:
-            best = min(
-                feasible_steps,
-                key=lambda step: (
-                    step.report.energy_per_request_uj,
-                    step.config_key,
-                ),
-            )
-        else:
-            best = min(
-                steps, key=lambda step: (step.report.p95_ms, step.config_key)
-            )
-        return AutoscaleResult(
-            steps=steps, best=best, converged=bool(feasible_steps)
-        )
+            current = _pick(measured)
+        best = _pick(steps)
+        return AutoscaleResult(steps=steps, best=best, converged=best.meets_slo)
 
 
 @dataclass(frozen=True)
@@ -337,9 +300,7 @@ class OnlineScalerConfig:
     p95_target_s: float
     window: int = 24
     cooldown: int = 24
-    min_shards: int = 1
     max_shards: int = 4
-    min_replicas: int = 1
     max_replicas: int = 4
     relax_watermark: float = 0.3
 
@@ -352,16 +313,10 @@ class OnlineScalerConfig:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
-        if not 1 <= self.min_shards <= self.max_shards:
-            raise ValueError(
-                f"need 1 <= min_shards <= max_shards, got "
-                f"[{self.min_shards}, {self.max_shards}]"
-            )
-        if not 1 <= self.min_replicas <= self.max_replicas:
-            raise ValueError(
-                f"need 1 <= min_replicas <= max_replicas, got "
-                f"[{self.min_replicas}, {self.max_replicas}]"
-            )
+        if not self.max_shards >= 1:
+            raise ValueError(f"max shards must be >= 1, got {self.max_shards}")
+        if not self.max_replicas >= 1:
+            raise ValueError(f"max replicas must be >= 1, got {self.max_replicas}")
         if not 0.0 < self.relax_watermark < 1.0:
             raise ValueError(
                 f"relax watermark must be in (0, 1), got {self.relax_watermark}"
@@ -403,9 +358,9 @@ class OnlineScaler:
 
     def _scale_in(self, current: Tuple[int, int]) -> Optional[Tuple[int, int]]:
         shards, replicas = current
-        if replicas > self.config.min_replicas:
+        if replicas > 1:
             return (shards, replicas - 1)  # dropping replica state is free
-        if shards > self.config.min_shards:
+        if shards > 1:
             return (shards - 1, replicas)
         return None
 
@@ -471,16 +426,12 @@ class ScheduledScalePlan:
 
     def __init__(self, events: Sequence[Tuple[float, Tuple[int, int]]]):
         self.events = sorted(
-            ((float(time_s), (int(s), int(r))) for time_s, (s, r) in events),
+            ((float(time_s), deployment_axes(deployment)) for time_s, deployment in events),
             key=lambda event: event[0],
         )
-        for time_s, (shards, replicas) in self.events:
+        for time_s, _ in self.events:
             if not time_s >= 0.0:
                 raise ValueError(f"event time must be non-negative, got {time_s}")
-            if shards < 1 or replicas < 1:
-                raise ValueError(
-                    f"deployment axes must be >= 1, got ({shards}, {replicas})"
-                )
         self._next = 0
 
     def observe(

@@ -68,6 +68,16 @@ class RequestRecord:
         return self.completion_s - self.request.arrival_s
 
 
+def format_or_dash(value: float, spec: str) -> str:
+    """``value`` in ``spec``, or a dash of the same width when NaN.
+
+    A NaN column (nothing answered) renders as a dash, not as a literal
+    "nan" pretending to be a measurement.
+    """
+    width = spec.split(".")[0]
+    return f"{'-':>{width}s}" if np.isnan(value) else f"{value:{spec}}"
+
+
 @dataclass(frozen=True)
 class SLOReport:
     """Aggregate serving metrics of one simulated session.
@@ -174,18 +184,11 @@ class SLOReport:
 
     def format_row(self) -> str:
         mttr = f"{self.mttr_s * 1e3:.1f}ms" if self.mttr_s is not None else "-"
-
-        def _fmt(value: float, spec: str) -> str:
-            # A NaN column (nothing answered) renders as a dash, not as
-            # a literal "nan" pretending to be a measurement.
-            width = spec.split(".")[0]
-            return f"{'-':>{width}s}" if np.isnan(value) else f"{value:{spec}}"
-
         row = (
-            f"  {self.label:<28s} p50={_fmt(self.p50_ms, '8.3f')}ms "
-            f"p95={_fmt(self.p95_ms, '8.3f')}ms "
-            f"p99={_fmt(self.p99_ms, '8.3f')}ms qps={self.sustained_qps:9.1f} "
-            f"E/req={_fmt(self.energy_per_request_uj, '10.4f')}uJ "
+            f"  {self.label:<28s} p50={format_or_dash(self.p50_ms, '8.3f')}ms "
+            f"p95={format_or_dash(self.p95_ms, '8.3f')}ms "
+            f"p99={format_or_dash(self.p99_ms, '8.3f')}ms qps={self.sustained_qps:9.1f} "
+            f"E/req={format_or_dash(self.energy_per_request_uj, '10.4f')}uJ "
             f"hit={self.cache_hit_rate * 100.0:5.1f}% "
             f"batch={self.mean_batch_size:4.1f} "
             f"avail={self.availability * 100.0:6.2f}% "

@@ -19,7 +19,6 @@ from repro.serving.forecast import (
     PredictiveScaler,
     TrafficForecaster,
     build_scale_plan,
-    plan_scale_events,
 )
 from repro.serving.scheduler import Batch, MicroBatchConfig, MicroBatchScheduler
 from repro.serving.session import ServingSession
@@ -97,14 +96,6 @@ class TestTrafficForecaster:
             true.peak_rate(0.0, 8.0), rel=0.3
         )
 
-    def test_period_grid_search_picks_the_true_period(self):
-        true = ForecastModel(base_qps=60.0, amplitude=0.6, period_s=4.0)
-        forecaster = TrafficForecaster(
-            period_candidates_s=(1.0, 2.0, 4.0, 16.0), bins=32
-        )
-        forecaster.observe_many(_sample_arrivals(true, 8.0, seed=3))
-        assert forecaster.fit().period_s == 4.0
-
     def test_flat_traffic_fits_near_zero_amplitude(self):
         rng = np.random.default_rng(4)
         forecaster = TrafficForecaster(period_s=4.0)
@@ -136,17 +127,11 @@ class TestTrafficForecaster:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            TrafficForecaster()  # neither period nor candidates
-        with pytest.raises(ValueError):
             TrafficForecaster(period_s=-1.0)
-        with pytest.raises(ValueError):
-            TrafficForecaster(period_s=1.0, bins=2)
         with pytest.raises(ValueError):
             TrafficForecaster(period_s=1.0, min_arrivals=4)
         with pytest.raises(ValueError):
             TrafficForecaster(period_s=1.0, min_span_fraction=0.0)
-        with pytest.raises(ValueError):
-            TrafficForecaster(period_candidates_s=(1.0, 0.0))
 
 
 def _capacity_model(utilization=0.7):
@@ -205,10 +190,10 @@ class TestPlanScaleEvents:
     def test_ramp_fires_lead_time_early(self):
         model = ForecastModel(base_qps=60.0, amplitude=0.6, period_s=8.0)
         capacity = _capacity_model()
-        events = plan_scale_events(
+        events = build_scale_plan(
             model, capacity, start_s=0.0, horizon_s=8.0, step_s=0.25,
             lead_time_s=0.5, initial_deployment=(1, 1),
-        )
+        ).events
         assert events, "the crest needs (1, 2): expected a scale-out"
         fire_s, deployment = events[0]
         assert deployment == (1, 2)
@@ -219,10 +204,10 @@ class TestPlanScaleEvents:
 
     def test_scale_in_after_the_crest_with_headroom(self):
         model = ForecastModel(base_qps=60.0, amplitude=0.6, period_s=8.0)
-        events = plan_scale_events(
+        events = build_scale_plan(
             model, _capacity_model(), start_s=0.0, horizon_s=8.0, step_s=0.25,
             lead_time_s=0.5, initial_deployment=(1, 1),
-        )
+        ).events
         deployments = [deployment for _, deployment in events]
         assert deployments == [(1, 2), (1, 1)]
         # Scale-in is conservative: it happens after the symmetric
@@ -240,43 +225,34 @@ class TestPlanScaleEvents:
 
     def test_lead_time_clamps_at_start(self):
         model = ForecastModel(base_qps=120.0, amplitude=0.0, period_s=8.0)
-        events = plan_scale_events(
+        events = build_scale_plan(
             model, _capacity_model(), start_s=2.0, horizon_s=4.0, step_s=0.5,
             lead_time_s=10.0, initial_deployment=(1, 1),
-        )
+        ).events
         assert events[0] == (2.0, (1, 2))
 
     def test_validation(self):
         model = ForecastModel(base_qps=10.0, amplitude=0.0, period_s=1.0)
         capacity = _capacity_model()
         with pytest.raises(ValueError):
-            plan_scale_events(
+            build_scale_plan(
                 model, capacity, start_s=0.0, horizon_s=0.0, step_s=0.1,
                 lead_time_s=0.0, initial_deployment=(1, 1),
             )
         with pytest.raises(ValueError):
-            plan_scale_events(
+            build_scale_plan(
                 model, capacity, start_s=0.0, horizon_s=1.0, step_s=0.0,
                 lead_time_s=0.0, initial_deployment=(1, 1),
             )
         with pytest.raises(ValueError):
-            plan_scale_events(
+            build_scale_plan(
                 model, capacity, start_s=0.0, horizon_s=1.0, step_s=0.1,
                 lead_time_s=-1.0, initial_deployment=(1, 1),
-            )
-        with pytest.raises(ValueError):
-            plan_scale_events(
-                model, capacity, start_s=0.0, horizon_s=1.0, step_s=0.1,
-                lead_time_s=0.0, initial_deployment=(1, 1),
-                scale_in_headroom=0.9,
             )
 
 
 def _predictive(act=True, **overrides):
-    kwargs = dict(
-        lead_time_s=0.2, horizon_s=8.0, step_s=0.25, act=act,
-        fit_after_arrivals=64,
-    )
+    kwargs = dict(lead_time_s=0.2, horizon_s=8.0, step_s=0.25, act=act)
     kwargs.update(overrides)
     return PredictiveScaler(
         TrafficForecaster(period_s=8.0, min_arrivals=64),
@@ -417,7 +393,7 @@ def _plan(**overrides):
         initial_deployment=(1, 1),
     )
     kwargs.update(overrides)
-    return plan_scale_events(
+    return build_scale_plan(
         ForecastModel(base_qps=10.0, amplitude=0.0, period_s=1.0),
         _capacity_model(),
         **kwargs,
@@ -429,12 +405,10 @@ def _plan(**overrides):
     [
         lambda: ForecastModel(base_qps=1.0, amplitude=0.5, period_s=_NAN),
         lambda: TrafficForecaster(period_s=_NAN),
-        lambda: TrafficForecaster(period_candidates_s=(4.0, _NAN)),
         lambda: DeploymentCapacity((1, 1), _NAN),
         lambda: _plan(horizon_s=_NAN),
         lambda: _plan(step_s=_NAN),
         lambda: _plan(lead_time_s=_NAN),
-        lambda: _plan(scale_in_headroom=_NAN),
         lambda: _predictive(horizon_s=_NAN),
         lambda: _predictive(step_s=_NAN),
         lambda: _predictive(lead_time_s=_NAN),
@@ -444,12 +418,10 @@ def _plan(**overrides):
     ids=[
         "model-period",
         "forecaster-period",
-        "forecaster-candidate",
         "capacity",
         "plan-horizon",
         "plan-step",
         "plan-lead",
-        "plan-headroom",
         "scaler-horizon",
         "scaler-step",
         "scaler-lead",
@@ -461,6 +433,58 @@ def test_nan_parameters_rejected(make):
     """NaN fails every boundary check (``x <= 0`` alone is False for
     NaN, so the checks are written to fail on it); the match rules out a
     ValueError raised deeper in, such as ``int(nan)``."""
+    with pytest.raises(ValueError, match="must be"):
+        make()
+
+
+_INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _plan(horizon_s=_INF),
+        lambda: _plan(start_s=_INF),
+        lambda: _plan(start_s=_NAN),
+        lambda: _predictive(horizon_s=_INF),
+    ],
+    ids=["plan-horizon", "plan-start-inf", "plan-start-nan", "scaler-horizon"],
+)
+def test_unbounded_planning_window_rejected(make):
+    """An infinite horizon used to walk forecast windows forever (and a
+    predictive scaler built with one hung its session at the first fit);
+    a non-finite start silently planned nothing."""
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ScheduledScalePlan([(0.0, (1.7, 1))]),
+        lambda: _capacity_model().required_deployment(_NAN),
+        lambda: DeploymentCapacity((1, 1), 10.0, energy_per_request_uj=_NAN),
+        lambda: DeploymentCapacity((1.5, 1), 10.0),
+        lambda: ForecastModel(
+            base_qps=1.0, amplitude=0.5, period_s=1.0, trend_qps_per_s=_NAN
+        ),
+        lambda: ForecastModel(base_qps=_INF, amplitude=0.5, period_s=1.0),
+        lambda: TrafficForecaster(period_s=_INF),
+    ],
+    ids=[
+        "plan-fractional-axis",
+        "capacity-nan-rate",
+        "capacity-nan-energy",
+        "capacity-fractional-axis",
+        "model-nan-trend",
+        "model-inf-base",
+        "forecaster-inf-period",
+    ],
+)
+def test_scaling_plane_boundaries_reject_nan_inf_and_fractions(make):
+    """Each of these used to be accepted: a fractional deployment axis
+    was truncated, a NaN rate picked the largest deployment, and a NaN
+    or infinite model parameter made every predicted rate NaN or inf."""
     with pytest.raises(ValueError, match="must be"):
         make()
 
@@ -498,7 +522,6 @@ class TestPredictiveSessionIntegration:
             lead_time_s=4.0 * batch_one_s,
             horizon_s=period_s,
             step_s=period_s / 32.0,
-            fit_after_arrivals=32,
         )
         session = ServingSession(
             factory(1, 1), workload,

@@ -1,20 +1,24 @@
 """Unit tests for the closed-loop autoscaler's control law.
 
 The loop is exercised against synthetic deployments (no engines): an
-evaluate stub returns canned SLO reports per (shards, replicas), so each
-test controls exactly what the autoscaler measures.
+evaluate stub returns canned SLO reports per (shards, replicas) -- or
+per (shards, replicas, spillover) for the heterogeneous search -- so
+each test controls exactly what the autoscaler measures.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Dict
 
 import pytest
 
-from repro.serving.autoscaler import Autoscaler, AutoscalerConfig
+from repro.serving.autoscaler import Autoscaler, AutoscalerConfig, ScaleStep, _pick
 from repro.serving.slo import SLOReport
 
+NAN = float("nan")
 
-def _report(label, p95_ms, energy_uj):
+
+def _report(label, p95_ms, energy_uj, shed_count=0):
     return SLOReport(
         label=label,
         num_requests=10,
@@ -28,6 +32,7 @@ def _report(label, p95_ms, energy_uj):
         energy_per_request_uj=energy_uj,
         cache_hit_rate=0.0,
         mean_batch_size=2.0,
+        shed_count=shed_count,
     )
 
 
@@ -38,14 +43,18 @@ class _StubResult:
 
 
 class _StubDeployments:
-    """evaluate() backed by a {(shards, replicas): (p95, energy)} table."""
+    """evaluate() backed by a {(shards, replicas): (p95, energy)} table.
+
+    The search never leaves spillover 0 here (the default bound).
+    """
 
     def __init__(self, table, tenants=None):
         self.table = table
         self.tenants = tenants or {}
         self.calls = []
 
-    def __call__(self, shards, replicas):
+    def __call__(self, shards, replicas, spillover):
+        assert spillover == 0
         self.calls.append((shards, replicas))
         p95_ms, energy_uj = self.table[(shards, replicas)]
         label = f"s={shards} r={replicas}"
@@ -60,7 +69,7 @@ def test_feasible_start_converges_without_scaling():
     stub = _StubDeployments({(1, 1): (5.0, 1.0)})
     outcome = Autoscaler(stub, AutoscalerConfig(p95_slo_ms=10.0)).run()
     assert outcome.converged
-    assert outcome.chosen == (1, 1)
+    assert outcome.chosen == (1, 1, 0)
     assert stub.calls == [(1, 1)]  # no speculative evaluations
 
 
@@ -78,7 +87,7 @@ def test_greedy_follows_the_better_axis_until_feasible():
         stub, AutoscalerConfig(p95_slo_ms=10.0, max_shards=3, max_replicas=3)
     ).run()
     assert outcome.converged
-    assert outcome.chosen == (2, 2)
+    assert outcome.chosen == (2, 2, 0)
     # Round 1 compared both axes and moved to (1, 2), round 2 found (2, 2).
     assert (1, 2) in stub.calls and (2, 2) in stub.calls
 
@@ -95,7 +104,7 @@ def test_min_energy_feasible_config_wins():
         stub, AutoscalerConfig(p95_slo_ms=10.0, max_shards=2, max_replicas=2)
     ).run()
     assert outcome.converged
-    assert outcome.chosen == (1, 2)
+    assert outcome.chosen == (1, 2, 0)
 
 
 def test_bounds_exhausted_reports_best_effort():
@@ -111,7 +120,7 @@ def test_bounds_exhausted_reports_best_effort():
     ).run()
     assert not outcome.converged
     # Best effort: the lowest-p95 config measured, here the largest one.
-    assert outcome.chosen == (2, 2)
+    assert outcome.chosen == (2, 2, 0)
     assert not outcome.best.meets_slo
     assert outcome.best.violations
 
@@ -145,7 +154,7 @@ def test_tenant_slo_violation_forces_scale_out():
         ),
     ).run()
     assert outcome.converged
-    assert outcome.chosen == (1, 2)
+    assert outcome.chosen == (1, 2, 0)
     first = outcome.steps[0]
     assert not first.meets_slo
     assert any("strict" in violation for violation in first.violations)
@@ -171,12 +180,11 @@ def test_missing_tenant_is_a_violation():
     [
         {"p95_slo_ms": 0.0},
         {"p95_slo_ms": 5.0, "tenant_slos_ms": {"t": -1.0}},
-        {"p95_slo_ms": 5.0, "min_shards": 3, "max_shards": 2},
-        {"p95_slo_ms": 5.0, "min_replicas": 0},
+        {"p95_slo_ms": 5.0, "max_shards": 0},
+        {"p95_slo_ms": 5.0, "max_replicas": 0},
         {"p95_slo_ms": 5.0, "max_steps": 0},
-        {"p95_slo_ms": 5.0, "min_spillover_replicas": -1},
-        {"p95_slo_ms": 5.0, "min_spillover_replicas": 2,
-         "max_spillover_replicas": 1},
+        {"p95_slo_ms": 5.0, "max_spillover_replicas": -1},
+        {"p95_slo_ms": 5.0, "max_steps": float("nan")},
         {"p95_slo_ms": float("nan")},
         {"p95_slo_ms": 5.0, "tenant_slos_ms": {"t": float("nan")}},
     ],
@@ -203,15 +211,6 @@ class _StubHeteroDeployments:
 
 
 class TestHeterogeneousSearch:
-    def test_homogeneous_default_calls_evaluate_with_two_args(self):
-        # max_spillover_replicas=0 keeps the historical contract: 2-arg
-        # evaluate, 2-tuple keys.  (The homogeneous tests above all run
-        # through this path.)
-        stub = _StubDeployments({(1, 1): (5.0, 1.0)})
-        outcome = Autoscaler(stub, AutoscalerConfig(p95_slo_ms=10.0)).run()
-        assert outcome.chosen == (1, 1)
-        assert outcome.best.spillover_replicas == 0
-
     def test_spillover_axis_searched_when_homogeneous_grid_infeasible(self):
         # The IMC grid is capped at (2, 2) and never meets the contract;
         # only GPU spillover does.  The heterogeneous search must find it
@@ -259,29 +258,96 @@ class TestHeterogeneousSearch:
             ),
         ).run()
         assert outcome.converged
-        assert outcome.chosen == (1, 2)
+        assert outcome.chosen == (1, 2, 0)
         assert outcome.best.spillover_replicas == 0
 
-    def test_min_spillover_floor_starts_heterogeneous(self):
-        table = {(1, 1, 1): (5.0, 4.0)}
-        stub = _StubHeteroDeployments(table)
-        outcome = Autoscaler(
-            stub,
-            AutoscalerConfig(
-                p95_slo_ms=10.0, min_spillover_replicas=1,
-                max_spillover_replicas=2,
-            ),
-        ).run()
-        assert outcome.converged
-        assert outcome.chosen == (1, 1, 1)
-
     def test_format_mentions_spillover(self):
-        table = {(1, 1, 1): (5.0, 4.0)}
+        # The IMC axes are capped at (1, 1), so the search grows into
+        # the spillover axis and the trajectory prints it.
+        table = {(1, 1, 0): (40.0, 1.0), (1, 1, 1): (5.0, 4.0)}
         outcome = Autoscaler(
             _StubHeteroDeployments(table),
             AutoscalerConfig(
-                p95_slo_ms=10.0, min_spillover_replicas=1,
+                p95_slo_ms=10.0, max_shards=1, max_replicas=1,
                 max_spillover_replicas=1,
             ),
         ).run()
+        assert outcome.chosen == (1, 1, 1)
         assert "spillover=1" in outcome.format()
+
+    def test_energy_tie_prefers_no_spillover(self):
+        # ``run()`` stops in the round that first meets the SLO, so two
+        # feasible steps on the same IMC axes never meet there; the pin
+        # is on the one selection rule it applies to every round.
+        def step(spillover, meets_slo):
+            return ScaleStep(
+                shards=1, replicas=2, spillover_replicas=spillover,
+                report=_report("s", 5.0, 2.0), tenant_reports={},
+                meets_slo=meets_slo, violations=(),
+            )
+
+        for meets_slo in (True, False):  # energy tie, then tail tie
+            chosen = _pick([step(1, meets_slo), step(0, meets_slo)])
+            assert chosen.config_key == (1, 2, 0)
+
+
+class TestNothingAnswered:
+    """A deployment that sheds or fails every request has a NaN p95
+    (the ``summarize`` contract); it must never pass for one that meets
+    the SLO."""
+
+    @staticmethod
+    def _stub(table):
+        def evaluate(shards, replicas, spillover):
+            p95_ms, energy_uj = table[(shards, replicas, spillover)]
+            shed = 10 if math.isnan(p95_ms) else 0
+            return _StubResult(
+                _report("s", p95_ms, energy_uj, shed_count=shed), {}
+            )
+
+        return evaluate
+
+    def test_all_shed_start_is_a_violation(self):
+        table = {(1, 1, 0): (NAN, NAN), (2, 1, 0): (5.0, 2.0), (1, 2, 0): (NAN, NAN)}
+        outcome = Autoscaler(
+            self._stub(table),
+            AutoscalerConfig(p95_slo_ms=10.0, max_shards=2, max_replicas=2),
+        ).run()
+        first = outcome.steps[0]
+        assert not first.meets_slo
+        assert first.violations == ("global answered no request",)
+        assert outcome.converged
+        assert outcome.chosen == (2, 1, 0)
+        # NaN prints as a dash, as in SLOReport.format_row.
+        assert outcome.format().splitlines()[0] == (
+            "  [VIOL] shards=1 replicas=1 p95=       -ms E/req=         -uJ"
+        )
+
+    def test_best_effort_skips_steps_that_answered_nothing(self):
+        table = {(1, 1, 0): (40.0, 1.0), (2, 1, 0): (NAN, NAN), (1, 2, 0): (30.0, 1.0)}
+        outcome = Autoscaler(
+            self._stub(table),
+            AutoscalerConfig(
+                p95_slo_ms=10.0, max_shards=2, max_replicas=2, max_steps=1
+            ),
+        ).run()
+        assert not outcome.converged
+        # (2, 1, 0) sorts first on the config tuple, but answered nothing.
+        assert outcome.chosen == (1, 2, 0)
+
+    def test_tenant_that_answered_nothing_is_a_violation(self):
+        def evaluate(shards, replicas, spillover):
+            return _StubResult(
+                _report("s", 1.0, 1.0),
+                {"starved": _report("s [starved]", NAN, NAN, shed_count=10)},
+            )
+
+        outcome = Autoscaler(
+            evaluate,
+            AutoscalerConfig(
+                p95_slo_ms=10.0, tenant_slos_ms={"starved": 10.0},
+                max_shards=1, max_replicas=1,
+            ),
+        ).run()
+        assert not outcome.converged
+        assert outcome.steps[0].violations == ("tenant 'starved' answered no request",)

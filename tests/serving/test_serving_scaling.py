@@ -210,7 +210,7 @@ class TestOnlineScaler:
         with pytest.raises(ValueError):
             OnlineScalerConfig(p95_target_s=1.0, window=0)
         with pytest.raises(ValueError):
-            OnlineScalerConfig(p95_target_s=1.0, min_shards=3, max_shards=2)
+            OnlineScalerConfig(p95_target_s=1.0, max_shards=0)
         with pytest.raises(ValueError):
             OnlineScalerConfig(p95_target_s=1.0, relax_watermark=1.0)
 
