@@ -28,7 +28,7 @@ from repro.models.youtube_dnn import (
 
 def _per_query(engine):
     """``engine`` serving each batch as per-query ``recommend`` calls."""
-    engine._serve_results = lambda queries: [
+    engine._serve_results = lambda queries, users=None: [
         engine.recommend_query(query) for query in queries
     ]
     return engine

@@ -41,7 +41,9 @@ uniform batch interface the online serving subsystem
   kernel-launch/dispatch overheads across the batch, while iMARS pipelines
   queries through its fabric stages (bounded by the slowest stage); an
   empty batch is a legal no-op (a replica that received no queries in a
-  dispatch round);
+  dispatch round); ``users`` optionally hands in the batch's user-tower
+  rows (:func:`embed_queries`), which the shard router computes once for
+  a whole fleet that shares one filtering model;
 * :attr:`expected_query_latency_s` -- an EWMA of the engine's observed
   per-query occupancy, the work estimate replica routers
   (:class:`repro.serving.shard.ReplicaGroup`) use for
@@ -172,6 +174,21 @@ class BatchResult:
         return len(self.results)
 
 
+def embed_queries(
+    filtering_model: YouTubeDNNFiltering, queries: Sequence[ServeQuery]
+) -> np.ndarray:
+    """One user-tower pass over a batch: row ``q`` embeds ``queries[q]``.
+
+    Each row depends only on its own query (mean-pooled history, then
+    ``stable_matmul`` layers), so rows computed once for a whole batch
+    equal the rows any sub-batch or single query would compute.
+    """
+    return filtering_model.user_embedding(
+        [list(query.history) for query in queries],
+        np.asarray([query.demographics for query in queries], dtype=np.int64),
+    )
+
+
 class _EngineBase:
     """The one query pipeline every engine runs (Sec. IV-C3).
 
@@ -295,7 +312,9 @@ class _EngineBase:
         the frugal one is saturated."""
         return self._ewma_query_energy_pj
 
-    def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
+    def serve_batch(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> BatchResult:
         """Serve a micro-batch through the engine.
 
         The functional results are exactly those of per-query
@@ -303,11 +322,14 @@ class _EngineBase:
         the batched cost applies the engine's amortisation/pipelining
         model via :meth:`_batch_cost`.  An empty batch is a no-op, so a
         replica group can dispatch a round in which some replicas receive
-        no work.
+        no work.  ``users`` are the queries' user-tower rows
+        (:func:`embed_queries` over this engine's filtering model), which
+        the shard router computes once per batch for every shard; without
+        them the engine runs the tower itself.
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
-        results = self._serve_results(queries)
+        results = self._serve_results(queries, users)
         cost = self._batch_cost(results)
         fault_hook = self._fault_hook
         if fault_hook is not None:
@@ -352,23 +374,23 @@ class _EngineBase:
             )
         return BatchResult(results=results, cost=cost)
 
-    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
+    def _serve_results(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> List[QueryResult]:
         """The whole batch at once, bit-identical to per-query :meth:`recommend`.
 
-        One user-tower pass, one NNS pass (candidate rows padded to the
-        longest, plus each row's count), one ranking pass over every
-        (query, candidate) row and one row-wise stable CTR argsort;
-        per-query ledgers replay the cached cost templates.  Each row
-        keeps its query's candidate order, and CTRs are sigmoid outputs
-        (> 0), so the -1 padding sorts after every real candidate and
-        the argsort equals the per-query sort.
+        One user-tower pass (unless the router handed ``users`` down),
+        one NNS pass (candidate rows padded to the longest, plus each
+        row's count), one ranking pass over every (query, candidate) row
+        and one row-wise stable CTR argsort; per-query ledgers replay the
+        cached cost templates.  Each row keeps its query's candidate
+        order, and CTRs are sigmoid outputs (> 0), so the -1 padding
+        sorts after every real candidate and the argsort equals the
+        per-query sort.
         """
-        histories = [list(query.history) for query in queries]
-        demographics = np.asarray(
-            [query.demographics for query in queries], dtype=np.int64
-        )
+        if users is None:
+            users = embed_queries(self.filtering_model, queries)
         contexts = np.asarray([query.context for query in queries], dtype=np.int64)
-        users = self.filtering_model.user_embedding(histories, demographics)
         padded, counts = self._candidates_batch(users)
         valid = np.arange(padded.shape[1]) < counts[:, None]
         owners = np.repeat(np.arange(len(queries)), counts)
@@ -703,8 +725,8 @@ class IMARSEngine(_EngineBase):
         return cap_candidates(candidates, distances, self.num_candidates)
 
     def _candidates_batch(self, users: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One packed XOR+popcount scan and one stable-argsort selection
-        for every query (Sec. III's array view)."""
+        """One column-major XOR+popcount scan and one ``uint16`` stable-
+        argsort selection for every query (Sec. III's array view)."""
         return fixed_radius_candidates_batch(
             self.index.distances_batch(users), self.radius, self.num_candidates
         )
@@ -731,12 +753,14 @@ class IMARSEngine(_EngineBase):
         constants = self._scorer.query_constants(users, contexts)
         return self._scorer.score_grouped(constants, owners, candidates)
 
-    def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
+    def _serve_results(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> List[QueryResult]:
         """The shared batch path; an analog engine (no serving scorer)
         serves query by query, drawing crossbar noise as ``recommend`` does."""
         if self._scorer is None:
             return [self.recommend_query(query) for query in queries]
-        return super()._serve_results(queries)
+        return super()._serve_results(queries, users)
 
     # -- cost hooks (overridden by :class:`GPUSpilloverEngine`) ---------
     def _ledger_name(self) -> str:

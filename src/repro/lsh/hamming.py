@@ -4,12 +4,16 @@ These are the software counterparts of the TCAM match operation: packed
 XOR + popcount for speed on the GPU-baseline side, and plain bit-matrix
 distances for cross-checking the CMA search results.
 
-The multi-query serving kernels work on ``uint64`` bitplanes
-(:func:`pack_bits_u64`): a (Q, words) query block XORs against an
-(N, words) item block and popcounts in one vectorised (Q, N) scan
-(:func:`hamming_matrix_packed`) -- the software shape of the TCAM array
-matching all rows at once.  Distances are exact integer counts, so the
-packed kernels agree bitwise with the byte-table reference paths.
+The multi-query serving kernel works in the TCAM's own layout.  A TCAM
+compares one query against every stored row in one threshold match, a
+bit column at a time across all rows; :func:`hamming_matrix_packed`
+does the same over ``uint64`` words (:func:`pack_bits_u64`): each query
+word XORs against that word column of every item and the popcounts
+accumulate into one (Q, N) ``uint16`` distance array.  An item block
+stored column-major (``np.asfortranarray``, as the LSH index keeps it)
+makes every column one contiguous scan.  Distances are exact integer
+counts, so the packed kernel agrees with the byte-table reference
+:func:`pairwise_hamming` bit for bit.
 """
 
 from __future__ import annotations
@@ -28,11 +32,19 @@ __all__ = [
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a (n, b) 0/1 matrix into (n, ceil(b/8)) uint8 rows."""
-    matrix = np.atleast_2d(np.asarray(bits, dtype=np.uint8))
-    if not np.isin(matrix, (0, 1)).all():
+    """Pack a (n, b) 0/1 matrix into (n, ceil(b/8)) uint8 rows.
+
+    Any value other than 0 or 1 raises ``ValueError``.  The check reads
+    the input itself, before the ``uint8`` cast that would wrap 256 to 0
+    or truncate 0.5 to 0 (NaN fails the min/max test too).
+    """
+    matrix = np.atleast_2d(np.asarray(bits))
+    if matrix.size and not (matrix.min() >= 0 and matrix.max() <= 1):
         raise ValueError("bit matrix must contain only 0/1")
-    return np.packbits(matrix, axis=1)
+    as_bytes = matrix.astype(np.uint8, copy=False)
+    if matrix.dtype.kind not in "biu" and (as_bytes != matrix).any():
+        raise ValueError("bit matrix must contain only 0/1")
+    return np.packbits(as_bytes, axis=1)
 
 
 def unpack_bits(packed: np.ndarray, num_bits: int) -> np.ndarray:
@@ -63,26 +75,21 @@ def pack_bits_u64(bits: np.ndarray) -> np.ndarray:
 
 _POPCOUNT_TABLE = np.array([bin(value).count("1") for value in range(256)], dtype=np.uint8)
 
-#: Cap on the uint64 words a single XOR block may hold (~32 MiB) before
-#: :func:`hamming_matrix_packed` falls back to query-chunked scans.
-_PACKED_CHUNK_WORDS = 1 << 22
-
-
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Sum of per-element popcounts along the last axis (int64 result)."""
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return _POPCOUNT_TABLE[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+#: Widest word block whose distances still fit ``uint16`` (65,472 bits).
+_MAX_PACKED_WORDS = np.iinfo(np.uint16).max // 64
 
 
 def hamming_matrix_packed(
     query_words: np.ndarray, item_words: np.ndarray
 ) -> np.ndarray:
-    """(Q, N) Hamming distances between two :func:`pack_bits_u64` blocks.
+    """(Q, N) ``uint16`` Hamming distances between two :func:`pack_bits_u64` blocks.
 
-    One vectorised XOR + popcount scan per query chunk -- the multi-query
-    kernel the serving hot path runs instead of per-row
-    :func:`pairwise_hamming` calls.  Distances are exact integers.
+    One word column at a time, as the TCAM matches a bit column across
+    every row: each query's word XORs against that word of every item,
+    and ``np.bitwise_count`` adds the mismatches into one (Q, N) array.
+    No (Q, N, words) temporary is built.  ``item_words`` may be C- or
+    Fortran-ordered; column-major (what the LSH index stores) makes each
+    column a contiguous scan.  Distances are exact integers.
     """
     queries = np.atleast_2d(np.asarray(query_words, dtype=np.uint64))
     items = np.atleast_2d(np.asarray(item_words, dtype=np.uint64))
@@ -90,15 +97,14 @@ def hamming_matrix_packed(
         raise ValueError(
             f"word widths differ: {queries.shape[1]} vs {items.shape[1]}"
         )
-    num_queries, words = queries.shape
-    num_items = items.shape[0]
-    out = np.empty((num_queries, num_items), dtype=np.int64)
-    per_row = max(1, num_items * words)
-    chunk = max(1, _PACKED_CHUNK_WORDS // per_row)
-    for start in range(0, num_queries, chunk):
-        stop = min(start + chunk, num_queries)
-        xored = queries[start:stop, None, :] ^ items[None, :, :]
-        out[start:stop] = _popcount_rows(xored)
+    if queries.shape[1] > _MAX_PACKED_WORDS:
+        raise ValueError(
+            f"{queries.shape[1]} words overflow uint16 distances "
+            f"(at most {_MAX_PACKED_WORDS})"
+        )
+    out = np.zeros((queries.shape[0], items.shape[0]), dtype=np.uint16)
+    for query_word, item_column in zip(queries.T[:, :, None], items.T):
+        out += np.bitwise_count(query_word ^ item_column)
     return out
 
 

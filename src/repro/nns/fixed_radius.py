@@ -7,6 +7,11 @@ in one array operation.  The radius plays the role the candidate count k
 plays in the baseline; these helpers calibrate a population-level radius so
 that the *average* candidate count matches a target, and clamp per-query
 candidate sets for the ranking stage.
+
+The batched selection (:func:`fixed_radius_candidates_batch`) is one
+stable argsort per batch, run in the distances' own dtype: the index's
+``uint16`` counts take numpy's linear-time radix sort, and the priority
+encoder's row order comes back from one sort of the survivors.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ def fixed_radius_candidates_batch(
       threshold raised one step);
     * each row's survivors come back in ascending index order.
 
+    Integer distances are sorted in their own dtype (a stable sort has
+    one answer whatever the width); any other dtype is cast to int64.
+
     Returns ``(padded, counts)``: ``padded`` is (Q, max(counts)) int64
     with each row's ``counts[q]`` candidate indices ascending, padded
     with ``N`` (one past the last valid index); ``counts`` is (Q,).
@@ -91,7 +99,9 @@ def fixed_radius_candidates_batch(
         raise ValueError(f"radius must be non-negative, got {radius}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    matrix = np.asarray(distances, dtype=np.int64)
+    matrix = np.asarray(distances)
+    if matrix.dtype.kind not in "iu":
+        matrix = matrix.astype(np.int64)
     if matrix.ndim != 2:
         raise ValueError(f"distances must be (Q, N), got {matrix.shape}")
     num_queries, num_items = matrix.shape

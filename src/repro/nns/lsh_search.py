@@ -6,6 +6,11 @@ ItET rows, Sec. III-B); a query embedding is hashed and compared by Hamming
 distance.  Both the top-k and the fixed-radius ("threshold match") query
 styles are provided; iMARS uses the latter because it maps directly onto
 the TCAM threshold-match mode.
+
+The index keeps the signatures in the TCAM's layout as well: packed into
+``uint64`` words and stored column-major, so the multi-query kernel
+(:func:`~repro.lsh.hamming.hamming_matrix_packed`) scans one contiguous
+word column of every item at a time and returns ``uint16`` distances.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ class LSHHammingIndex:
             raise ValueError("hasher input dimension does not match item embeddings")
         self.signature_bits = self.hasher.signature_bits
         self._item_signatures = self.hasher.signatures(items)
-        # uint64 bitplanes of the same signatures: what the multi-query
-        # XOR+popcount kernel scans (exact integer distances either way).
-        self._item_words = pack_bits_u64(self._item_signatures)
+        # The same signatures as uint64 words, column-major: each word
+        # column of every item is one contiguous bitplane, which the
+        # multi-query XOR+popcount kernel scans a column at a time.
+        self._item_words = np.asfortranarray(pack_bits_u64(self._item_signatures))
 
     @property
     def item_signatures(self) -> np.ndarray:
@@ -54,18 +60,18 @@ class LSHHammingIndex:
         return self.hasher.signature(query_embedding)
 
     def distances(self, query_embedding: np.ndarray) -> np.ndarray:
-        """Hamming distances from the hashed query to every stored item."""
+        """``uint16`` Hamming distances from the hashed query to every stored item."""
         return self.distances_batch(
             np.asarray(query_embedding).reshape(1, -1)
         )[0]
 
     def distances_batch(self, query_embeddings: np.ndarray) -> np.ndarray:
-        """(Q, n) Hamming distances for a whole query batch at once.
+        """(Q, n) ``uint16`` Hamming distances for a whole query batch at once.
 
         Queries are hashed in one projection and scanned against the
-        packed item bitplanes in one XOR+popcount kernel -- the TCAM-like
-        multi-query scan the serving hot path runs.  Row ``q`` equals
-        ``distances(query_embeddings[q])`` exactly (integer counts).
+        column-major item words one word column at a time -- the TCAM's
+        all-rows match, which the serving hot path runs.  Row ``q``
+        equals ``distances(query_embeddings[q])`` exactly (integer counts).
         """
         matrix = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
         signatures = self.hasher.signatures(matrix)

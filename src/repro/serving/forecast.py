@@ -68,6 +68,22 @@ _TREND_SPAN_FRACTION = 0.75
 _SCALE_IN_HEADROOM = 1.15
 #: Rate samples :meth:`ForecastModel.peak_rate` takes over its window.
 _PEAK_SAMPLES = 64
+#: Most windows one plan may walk (``horizon_s / step_s``).  Callers plan
+#: tens (E-forecast: 24 per period); this bounds a mistyped step's cost.
+_MAX_PLAN_WINDOWS = 10_000
+
+
+def _check_plan_windows(horizon_s: float, step_s: float) -> None:
+    """Reject a horizon/step pair that would walk unbounded windows."""
+    if not 0.0 < horizon_s < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
+    if not step_s > 0.0:
+        raise ValueError(f"step must be positive, got {step_s}")
+    if horizon_s / step_s > _MAX_PLAN_WINDOWS:
+        raise ValueError(
+            f"horizon {horizon_s} s at step {step_s} s is more than "
+            f"{_MAX_PLAN_WINDOWS} plan windows"
+        )
 
 
 @dataclass(frozen=True)
@@ -160,17 +176,24 @@ class TrafficForecaster:
         self.min_arrivals = min_arrivals
         self.min_span_fraction = min_span_fraction
         self._arrivals: List[float] = []
+        # Running extremes of the arrivals, so ``ready`` is O(1).
+        self._first_s = math.inf
+        self._last_s = -math.inf
 
     def observe_many(self, arrivals_s: Iterable[float]) -> None:
-        """Fold observed arrival timestamps."""
-        self._arrivals.extend(float(arrival) for arrival in arrivals_s)
+        """Fold observed arrival timestamps (in any order)."""
+        batch = [float(arrival) for arrival in arrivals_s]
+        if batch:
+            self._arrivals.extend(batch)
+            self._first_s = min(self._first_s, min(batch))
+            self._last_s = max(self._last_s, max(batch))
 
     @property
     def ready(self) -> bool:
         """Enough evidence to fit: count and span thresholds both met."""
         if len(self._arrivals) < self.min_arrivals:
             return False
-        span = max(self._arrivals) - min(self._arrivals)
+        span = self._last_s - self._first_s
         return span >= self.min_span_fraction * self.period_s
 
     def fit(self) -> ForecastModel:
@@ -307,13 +330,14 @@ def build_scale_plan(
     noisy fit from flapping around a threshold.  An empty plan (the
     forecast never crosses a capacity threshold) is legal and
     bit-identical to running with no scaler at all.
+
+    A horizon of more than 10,000 steps raises ``ValueError``, and so
+    does a step too small to move the window start in floating point
+    (1e-14 s at 1,000 s), which would otherwise walk forever.
     """
     if not 0.0 <= start_s < math.inf:
         raise ValueError(f"start must be non-negative and finite, got {start_s}")
-    if not 0.0 < horizon_s < math.inf:
-        raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
-    if not step_s > 0.0:
-        raise ValueError(f"step must be positive, got {step_s}")
+    _check_plan_windows(horizon_s, step_s)
     if not lead_time_s >= 0.0:
         raise ValueError(f"lead time must be non-negative, got {lead_time_s}")
     events: List[Tuple[float, Tuple[int, int]]] = []
@@ -322,6 +346,11 @@ def build_scale_plan(
     end_s = start_s + horizon_s
     while window_start < end_s:
         window_end = min(window_start + step_s, end_s)
+        if window_end == window_start:
+            raise ValueError(
+                f"step {step_s} s does not advance the window start "
+                f"{window_start} s in floating point"
+            )
         peak = model.peak_rate(window_start, window_end)
         needed = capacity.required_deployment(peak)
         if needed != current:
@@ -370,10 +399,7 @@ class PredictiveScaler:
     ):
         if not lead_time_s >= 0.0:
             raise ValueError(f"lead time must be non-negative, got {lead_time_s}")
-        if not 0.0 < horizon_s < math.inf:
-            raise ValueError(f"horizon must be positive and finite, got {horizon_s}")
-        if not step_s > 0.0:
-            raise ValueError(f"step must be positive, got {step_s}")
+        _check_plan_windows(horizon_s, step_s)
         self.forecaster = forecaster
         self.capacity = capacity
         self.lead_time_s = lead_time_s

@@ -5,7 +5,9 @@ per-candidate ranking loop dominates query latency.  Sharding splits the
 item corpus round-robin across N engines; every query fans out to all
 shards in parallel (scatter), each shard runs NNS + ranking over its own
 slice with a proportionally smaller candidate budget, and the router
-merges the per-shard top-k by CTR score (gather).
+merges the per-shard top-k by CTR score (gather).  The shards of a fleet
+filter with one shared user tower, so the router runs it once per batch
+and hands the rows down to every engine.
 
 Sharding cuts *per-query* latency but not queueing: one engine per slice
 is still a serial resource.  :class:`ReplicaGroup` adds the throughput
@@ -54,6 +56,7 @@ from repro.core.pipeline import (
     IMARSEngine,
     QueryResult,
     ServeQuery,
+    embed_queries,
 )
 from repro.energy.accounting import ZERO_COST, Cost, Ledger
 from repro.serving.faults import FaultError
@@ -278,8 +281,14 @@ class ReplicaGroup:
         """Batch-of-one convenience mirroring the engine interface."""
         return self.serve_batch([query]).results[0]
 
-    def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
+    def serve_batch(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> BatchResult:
         """Route one dispatch round and serve every replica lane.
+
+        ``users`` (the router's user-tower rows, one per query) are
+        sliced with the queries, so every lane -- retries and hedges
+        included -- serves its sub-batch from the same rows.
 
         Under an attached fault plane (``_faults``) routing skips
         replicas whose breakers are open and each lane recovers from
@@ -326,6 +335,7 @@ class ReplicaGroup:
             lane_results, lane_cost = self._serve_lane(
                 index,
                 [queries[position] for position in positions],
+                None if users is None else users[positions],
                 ctx,
                 base_s,
                 tracer,
@@ -348,6 +358,7 @@ class ReplicaGroup:
         self,
         index: int,
         sub: Sequence[ServeQuery],
+        sub_users: Optional[np.ndarray],
         ctx,
         base_s: float,
         tracer,
@@ -403,7 +414,7 @@ class ReplicaGroup:
                     ctx.breaker(shard, current).take_probe()
                 ctx.begin_round(base_s + lane_offset_s)
             try:
-                batch = self.replicas[current].serve_batch(sub)
+                batch = self.replicas[current].serve_batch(sub, sub_users)
                 break
             except FaultError as fault:
                 # Only a planted fault hook raises, so ctx is attached.
@@ -514,7 +525,7 @@ class ReplicaGroup:
                 ctx.breaker(shard, target).take_probe()
                 ctx.begin_round(base_s + lane_offset_s + hedge_delay_s)
                 try:
-                    hedge_batch = self.replicas[target].serve_batch(sub)
+                    hedge_batch = self.replicas[target].serve_batch(sub, sub_users)
                     hedge_latency_s = hedge_delay_s + hedge_batch.cost.latency_s
                     ctx.breaker(shard, target).record_success(
                         base_s + lane_offset_s + hedge_latency_s
@@ -584,6 +595,16 @@ class ShardedEngine:
                 )
         self.shards = list(shards)
         self.top_k = top_k
+        # The fleet's shared user tower, run once per batch and handed
+        # down (None when the engines' models differ: each embeds alone).
+        models = [
+            getattr(node, "filtering_model", None)
+            for node, _, replica in iter_engines(self)
+            if replica is not None
+        ]
+        self._filtering_model = (
+            models[0] if all(model is models[0] for model in models) else None
+        )
         # The platform merge model is a pure function of the gathered
         # entry count, so each distinct count is priced once per router
         # and replayed for every query (identical Cost values, identical
@@ -637,6 +658,9 @@ class ShardedEngine:
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
+        users = None
+        if self._filtering_model is not None:
+            users = embed_queries(self._filtering_model, queries)
         ctx = self._faults
         resilience = ctx.resilience if ctx is not None else None
         round_s = ctx.attempt_time_s if ctx is not None else 0.0
@@ -658,17 +682,17 @@ class ShardedEngine:
                     queries=len(queries),
                 )
             if ctx is None:
-                shard_batch = shard.serve_batch(queries)
+                shard_batch = shard.serve_batch(queries, users)
             else:
                 # Every shard's first attempt starts at the same round
                 # anchor (lanes advance it locally for their own
                 # retries/hedges).
                 ctx.begin_round(round_s)
                 if isinstance(shard, ReplicaGroup):
-                    shard_batch = shard.serve_batch(queries)
+                    shard_batch = shard.serve_batch(queries, users)
                 else:
                     shard_batch = self._serve_bare_shard(
-                        shard, shard_index, queries, ctx, round_s
+                        shard, shard_index, queries, users, ctx, round_s
                     )
             if traced:
                 tracer.close(base_s + shard_batch.cost.latency_s)
@@ -768,6 +792,7 @@ class ShardedEngine:
         shard,
         shard_index: int,
         queries: Sequence[ServeQuery],
+        users: Optional[np.ndarray],
         ctx,
         round_s: float,
     ) -> BatchResult:
@@ -789,7 +814,7 @@ class ShardedEngine:
             breaker.take_probe()
         estimate = getattr(shard, "expected_query_latency_s", None)
         try:
-            batch = shard.serve_batch(queries)
+            batch = shard.serve_batch(queries, users)
         except FaultError as fault:
             detect_s = ctx.detection_s(
                 fault, estimate, len(queries), shard_deadline=True

@@ -39,7 +39,7 @@ def _per_query_twin(fleet):
     """
     for engine, _, replica in iter_engines(fleet):
         if replica is not None:
-            engine._serve_results = lambda queries, engine=engine: [
+            engine._serve_results = lambda queries, users=None, engine=engine: [
                 engine.recommend_query(query) for query in queries
             ]
     return fleet

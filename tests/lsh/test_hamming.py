@@ -7,6 +7,7 @@ from repro.lsh.hamming import (
     hamming_distance,
     hamming_matrix,
     pack_bits,
+    pack_bits_u64,
     pairwise_hamming,
     unpack_bits,
 )
@@ -26,6 +27,25 @@ class TestPacking:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             pack_bits(np.full((1, 8), 3, dtype=np.uint8))
+
+    @pytest.mark.parametrize(
+        "bits",
+        [[[256, 0]], [[257, 1]], [[-1, 0]], [[0.5, 1.0]], [[float("nan"), 0.0]]],
+        ids=["256", "257", "minus-one", "half", "nan"],
+    )
+    def test_out_of_range_rejected_before_the_uint8_cast(self, bits):
+        # A uint8 cast first would wrap 256 to 0 (and 257 to 1) or
+        # truncate 0.5 to 0, and the wrapped value would pass the check.
+        with pytest.raises(ValueError, match="only 0/1"):
+            pack_bits(np.array(bits))
+        with pytest.raises(ValueError, match="only 0/1"):
+            pack_bits_u64(np.array(bits))
+
+    def test_wide_and_bool_bits_pack_like_uint8(self):
+        bits = np.random.default_rng(5).integers(0, 2, size=(3, 21))
+        expected = pack_bits(bits.astype(np.uint8))
+        for dtype in (np.int64, np.uint16, bool, np.float64):
+            np.testing.assert_array_equal(pack_bits(bits.astype(dtype)), expected)
 
     def test_unpack_too_many_bits_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,10 @@ Hamming scans, batched fixed-radius selection, multi-query top-k, the
 GPU reference engine's batched exact-cosine search and the histogram
 radius calibration -- must return exactly what the per-query reference
 code returns, element for element.  These tests pin that
-contract over exhaustive small cases and randomised fuzzing.
+contract over exhaustive small cases and randomised fuzzing.  The
+Hamming scan returns ``uint16`` whatever the item block's memory order,
+and the fixed-radius select gives one answer on ``uint16`` and ``int64``
+rows alike.
 """
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.nns.fixed_radius import (
     fixed_radius_candidates,
     fixed_radius_candidates_batch,
 )
+from repro.nns.lsh_search import LSHHammingIndex
 
 
 class TestPackedHamming:
@@ -59,6 +63,38 @@ class TestPackedHamming:
         np.testing.assert_array_equal(
             hamming_matrix_packed(packed, packed), np.zeros((2, 2))
         )
+
+    @pytest.mark.parametrize("num_bits", [1, 64, 65, 256])
+    def test_uint16_for_c_and_fortran_item_blocks(self, num_bits):
+        rng = np.random.default_rng(100 + num_bits)
+        queries = rng.integers(0, 2, size=(6, num_bits), dtype=np.uint8)
+        items = rng.integers(0, 2, size=(13, num_bits), dtype=np.uint8)
+        words = pack_bits_u64(items)
+        c_order = hamming_matrix_packed(
+            pack_bits_u64(queries), np.ascontiguousarray(words)
+        )
+        f_order = hamming_matrix_packed(
+            pack_bits_u64(queries), np.asfortranarray(words)
+        )
+        assert c_order.dtype == f_order.dtype == np.uint16
+        np.testing.assert_array_equal(c_order, f_order)
+        np.testing.assert_array_equal(c_order, hamming_matrix(queries, items))
+
+    def test_index_scans_return_uint16(self):
+        rng = np.random.default_rng(7)
+        index = LSHHammingIndex(rng.normal(size=(40, 8)), signature_bits=96)
+        queries = rng.normal(size=(3, 8))
+        distances = index.distances_batch(queries)
+        assert distances.dtype == np.uint16
+        np.testing.assert_array_equal(
+            distances,
+            hamming_matrix(index.hasher.signatures(queries), index.item_signatures),
+        )
+
+    def test_words_beyond_uint16_range_rejected(self):
+        too_wide = np.zeros((1, 1024), dtype=np.uint64)
+        with pytest.raises(ValueError, match="uint16"):
+            hamming_matrix_packed(too_wide, too_wide)
 
     def test_word_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -220,6 +256,58 @@ class TestFixedRadiusBatch:
                 )
                 # Padding is the one-past-the-end sentinel only.
                 assert (padded[row, counts[row] :] == num_items).all()
+
+    @staticmethod
+    def assert_rows_match(distances, radius, cap):
+        padded, counts = fixed_radius_candidates_batch(distances, radius, cap)
+        num_queries, num_items = distances.shape
+        assert padded.dtype == np.int64
+        assert counts.shape == (num_queries,)
+        assert padded.shape[0] == num_queries
+        for row in range(num_queries):
+            expected = TestFixedRadiusBatch.reference_row(
+                distances[row].astype(np.int64), radius, cap
+            )
+            assert counts[row] == expected.shape[0]
+            np.testing.assert_array_equal(padded[row, : counts[row]], expected)
+            assert (padded[row, counts[row] :] == num_items).all()
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    def test_edge_shapes_and_radii(self, dtype):
+        rng = np.random.default_rng(11)
+        bits = 256
+        rows = rng.integers(0, bits + 1, size=(5, 30)).astype(dtype)
+        rows[:, ::7] = 0  # exact matches for radius 0
+        # radius 0; radius at and past the signature length; cap = 1.
+        for radius, cap in ((0, 4), (bits, 8), (bits + 50, 30), (bits, 1), (3, 1)):
+            self.assert_rows_match(rows, radius, cap)
+        # Every distance tied at the cut: the lowest indices win, and a
+        # radius just below the tie falls back to index 0.
+        tied = np.full((3, 12), 9, dtype=dtype)
+        for radius, cap in ((9, 5), (9, 12), (9, 1), (8, 5)):
+            self.assert_rows_match(tied, radius, cap)
+        # Q = 1, N = 1, and both at once.
+        self.assert_rows_match(rows[:1], 40, 6)
+        self.assert_rows_match(rows[:, :1], 0, 3)
+        self.assert_rows_match(np.array([[17]], dtype=dtype), 16, 2)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    def test_empty_batch(self, dtype):
+        padded, counts = fixed_radius_candidates_batch(
+            np.zeros((0, 9), dtype=dtype), 3, 4
+        )
+        assert padded.shape[0] == 0
+        assert counts.shape == (0,)
+
+    def test_uint16_and_int64_rows_select_alike(self):
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            wide = rng.integers(0, 20, size=(int(rng.integers(1, 9)), 50))
+            radius, cap = int(rng.integers(0, 12)), int(rng.integers(1, 20))
+            narrow = fixed_radius_candidates_batch(wide.astype(np.uint16), radius, cap)
+            reference = fixed_radius_candidates_batch(wide, radius, cap)
+            np.testing.assert_array_equal(narrow[0], reference[0])
+            np.testing.assert_array_equal(narrow[1], reference[1])
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError):

@@ -107,7 +107,7 @@ class _StubEngine:
     def recommend_query(self, query):
         return self._one(query)
 
-    def serve_batch(self, queries):
+    def serve_batch(self, queries, users=None):
         results = [self._one(query) for query in queries]
         return BatchResult(
             results=results,

@@ -141,7 +141,7 @@ class _MatrixEngine:
     def recommend_query(self, query):
         return self._one(query)
 
-    def serve_batch(self, queries):
+    def serve_batch(self, queries, users=None):
         results = [self._one(query) for query in queries]
         return BatchResult(
             results=results, cost=Cost(energy_pj=len(results), latency_ns=1.0)

@@ -114,6 +114,25 @@ class TestTrafficForecaster:
         forecaster.observe_many(np.linspace(0.0, 5.0, 16))
         assert forecaster.ready
 
+    @pytest.mark.parametrize(
+        "late",
+        [8.6, 1.4],
+        ids=["later-arrival-stretches-span", "earlier-arrival-stretches-span"],
+    )
+    def test_ready_over_unsorted_and_one_arrival_batches(self, late):
+        # Eight arrivals within one second, out of order and in batches
+        # of one to three (one empty): the count is met but the span
+        # (0.9 s) is short of 35% of the 10 s period.  Then one arrival
+        # moves an end of the span -- the max (8.6 - 5.0 = 3.6 s) or the
+        # min (5.9 - 1.4 = 4.5 s) -- past 3.5 s.
+        forecaster = TrafficForecaster(period_s=10.0, min_arrivals=8)
+        batches = [[5.9, 5.1], [5.5], [5.3, 5.7, 5.0], [5.2], [], [5.8], [late]]
+        answers = []
+        for batch in batches:
+            forecaster.observe_many(batch)
+            answers.append(forecaster.ready)
+        assert answers == [False, False, False, False, False, False, True]
+
     def test_fit_is_deterministic(self):
         arrivals = _sample_arrivals(
             ForecastModel(base_qps=40.0, amplitude=0.5, period_s=6.0), 6.0
@@ -250,6 +269,22 @@ class TestPlanScaleEvents:
                 lead_time_s=-1.0, initial_deployment=(1, 1),
             )
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(start_s=1000.0, horizon_s=1.0, step_s=1e-14), "plan windows"),
+            (dict(start_s=0.0, horizon_s=1.0, step_s=1e-5), "plan windows"),
+            # Twenty windows, but 1e18 + 50 rounds back to 1e18.
+            (dict(start_s=1e18, horizon_s=1000.0, step_s=50.0), "does not advance"),
+        ],
+        ids=["step-below-spacing", "too-many-windows", "stuck-window"],
+    )
+    def test_window_walk_is_bounded(self, overrides, message):
+        """A step that cannot move the window start in floating point
+        used to loop forever, and nothing bounded horizon / step."""
+        with pytest.raises(ValueError, match=message):
+            _plan(**overrides)
+
 
 def _predictive(act=True, **overrides):
     kwargs = dict(lead_time_s=0.2, horizon_s=8.0, step_s=0.25, act=act)
@@ -347,6 +382,11 @@ class TestPredictiveScaler:
                 forecaster, capacity, lead_time_s=0.0, horizon_s=1.0,
                 step_s=0.0,
             )
+
+    def test_too_many_plan_windows_rejected_at_construction(self):
+        """The window bound holds before the first fit, not mid-session."""
+        with pytest.raises(ValueError, match="plan windows"):
+            _predictive(horizon_s=8.0, step_s=1e-6)
 
 
 class TestSloViolationWindows:

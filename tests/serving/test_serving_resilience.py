@@ -227,7 +227,7 @@ class _StubEngine:
     expected_query_latency_s = 1.0
     top_k = 5
 
-    def serve_batch(self, queries):
+    def serve_batch(self, queries, users=None):
         results = [
             QueryResult(
                 items=[0],
@@ -484,7 +484,7 @@ class _MatrixEngine:
     def recommend_query(self, query):
         return self._one(query)
 
-    def serve_batch(self, queries):
+    def serve_batch(self, queries, users=None):
         results = [self._one(query) for query in queries]
         return BatchResult(
             results=results, cost=Cost(energy_pj=len(results), latency_ns=1.0)

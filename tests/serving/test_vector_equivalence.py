@@ -5,20 +5,28 @@ Every engine's batch path must be *bit-identical* to its per-query
 same items, same CTR bits, same per-query ledgers, same batched cost,
 same EWMA state afterwards -- across plain iMARS, GPU spillover and GPU
 reference engines, shards, replica groups and heterogeneous spillover.
+A shard router runs the fleet's shared user tower once per batch and
+hands the rows down; a router whose shards hold different towers lets
+each engine embed for itself.
 CI runs this file as its own job before the coverage gate so an
 equivalence break fails fast.
 """
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import GPUReferenceEngine, GPUSpilloverEngine, IMARSEngine
 from repro.energy.accounting import Cost
-from repro.models.youtube_dnn import _SCORE_CHUNK_ROWS, RankingServingScorer
+from repro.models.youtube_dnn import (
+    _SCORE_CHUNK_ROWS,
+    RankingServingScorer,
+    YouTubeDNNFiltering,
+)
 from repro.nn.stable import stable_matmul
-from repro.serving.shard import make_sharded_engine
+from repro.serving.shard import ShardedEngine, make_sharded_engine, partition_corpus
 
 
 def _snapshot(results):
@@ -104,6 +112,50 @@ class TestShardedBitIdentity:
         batches = [router.serve_batch(queries) for router in routers]
         assert _snapshot(batches[0].results) == _snapshot(batches[1].results)
         assert batches[0].cost == batches[1].cost
+
+
+class TestOneUserTowerPassPerRouterBatch:
+    def test_router_runs_the_tower_once_per_batch(self, serving_setup, monkeypatch):
+        _, filtering, ranking, mapping, workload = serving_setup
+        router = make_sharded_engine(
+            "imars", filtering, ranking, mapping=mapping, num_shards=4,
+            replicas_per_shard=2, seed=0,
+        )
+        batch_sizes = []
+        original = YouTubeDNNFiltering.user_embedding
+
+        def counted(model, histories, demographics):
+            batch_sizes.append(len(histories))
+            return original(model, histories, demographics)
+
+        monkeypatch.setattr(YouTubeDNNFiltering, "user_embedding", counted)
+        queries = (workload * 2)[:50]
+        for batch in (queries, queries[:7], queries[:1]):
+            batch_sizes.clear()
+            router.serve_batch(batch)
+            assert batch_sizes == [len(batch)]
+
+    def test_shards_with_different_towers_match_per_query(
+        self, serving_setup, per_query_twin
+    ):
+        _, filtering, ranking, mapping, workload = serving_setup
+        other = YouTubeDNNFiltering(dataclasses.replace(filtering.config, seed=1))
+        subsets = partition_corpus(filtering.config.num_items, 2)
+
+        def build():
+            return ShardedEngine(
+                [
+                    IMARSEngine(model, ranking, mapping, seed=0, item_subset=subset)
+                    for model, subset in zip((filtering, other), subsets)
+                ],
+                top_k=10,
+            )
+
+        router, twin = build(), per_query_twin(build())
+        queries = (workload * 2)[:40]
+        batch, reference = router.serve_batch(queries), twin.serve_batch(queries)
+        assert _snapshot(batch.results) == _snapshot(reference.results)
+        assert batch.cost == reference.cost
 
 
 class TestAnalogFallsBackToScalar:
