@@ -43,7 +43,9 @@ uniform batch interface the online serving subsystem
   empty batch is a legal no-op (a replica that received no queries in a
   dispatch round); ``users`` optionally hands in the batch's user-tower
   rows (:func:`embed_queries`), which the shard router computes once for
-  a whole fleet that shares one filtering model;
+  a whole fleet that shares one filtering model, and ``ranked`` the
+  queries' ranked rows, which a replica group whose members rank alike
+  (:meth:`_ranks_like`) computes once per dispatch round;
 * :attr:`expected_query_latency_s` -- an EWMA of the engine's observed
   per-query occupancy, the work estimate replica routers
   (:class:`repro.serving.shard.ReplicaGroup`) use for
@@ -189,11 +191,17 @@ def embed_queries(
     )
 
 
+#: One query's ranked answer: (top-k global item ids, their CTRs,
+#: candidate count).  Everything the cost hooks need is the count.
+RankedRow = Tuple[List[int], List[float], int]
+
+
 class _EngineBase:
     """The one query pipeline every engine runs (Sec. IV-C3).
 
     :meth:`recommend` is the per-query reference and :meth:`_serve_results`
-    the batch path; an engine supplies only its NNS kernels
+    the batch path (:meth:`_ranked_rows`, then the cost templates); an
+    engine supplies only its NNS kernels
     (``_candidates``/``_candidates_batch``), optionally its CTR scorer
     (``_ctrs``/``_ctrs_batch``) and its cost hooks.
     """
@@ -313,7 +321,10 @@ class _EngineBase:
         return self._ewma_query_energy_pj
 
     def serve_batch(
-        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+        self,
+        queries: Sequence[ServeQuery],
+        users: Optional[np.ndarray] = None,
+        ranked: Optional[Sequence[RankedRow]] = None,
     ) -> BatchResult:
         """Serve a micro-batch through the engine.
 
@@ -325,11 +336,17 @@ class _EngineBase:
         no work.  ``users`` are the queries' user-tower rows
         (:func:`embed_queries` over this engine's filtering model), which
         the shard router computes once per batch for every shard; without
-        them the engine runs the tower itself.
+        them the engine runs the tower itself.  ``ranked`` are the queries'
+        rows as an engine that ranks like this one (:meth:`_ranks_like`)
+        ranked them: the engine then skips its own ranking and only bills
+        the rows through its own cost templates.
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
-        results = self._serve_results(queries, users)
+        if ranked is None:
+            results = self._serve_results(queries, users)
+        else:
+            results = self._templated_results(ranked)
         cost = self._batch_cost(results)
         fault_hook = self._fault_hook
         if fault_hook is not None:
@@ -377,16 +394,22 @@ class _EngineBase:
     def _serve_results(
         self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
     ) -> List[QueryResult]:
-        """The whole batch at once, bit-identical to per-query :meth:`recommend`.
+        """The whole batch at once, bit-identical to per-query :meth:`recommend`:
+        the ranked rows, each billed through the cached cost templates."""
+        return self._templated_results(self._ranked_rows(queries, users))
+
+    def _ranked_rows(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> List[RankedRow]:
+        """Every query's ranked row, bit-identical to :meth:`recommend`'s.
 
         One user-tower pass (unless the router handed ``users`` down),
         one NNS pass (candidate rows padded to the longest, plus each
         row's count), one ranking pass over every (query, candidate) row
-        and one row-wise stable CTR argsort; per-query ledgers replay the
-        cached cost templates.  Each row keeps its query's candidate
-        order, and CTRs are sigmoid outputs (> 0), so the -1 padding
-        sorts after every real candidate and the argsort equals the
-        per-query sort.
+        and one row-wise stable CTR argsort.  Each row keeps its query's
+        candidate order, and CTRs are sigmoid outputs (> 0), so the -1
+        padding sorts after every real candidate and the argsort equals
+        the per-query sort.
         """
         if users is None:
             users = embed_queries(self.filtering_model, queries)
@@ -400,15 +423,41 @@ class _EngineBase:
         # Rows shorter than top-k end in padding: clamp it to a real row
         # before the id lookup (the tail is sliced away below).
         ranked = np.minimum(np.take_along_axis(padded, order, axis=1), self.corpus_size - 1)
-        results: List[QueryResult] = []
-        for items, scores, count in zip(
-            self._global_ids[ranked].tolist(),
-            np.take_along_axis(ctrs, order, axis=1).tolist(),
-            counts.tolist(),
-        ):
-            take = min(self.top_k, count)
-            results.append(self._templated_result(items[:take], scores[:take], count))
-        return results
+        # A row of at least top-k candidates is exactly top-k long.
+        top_k = self.top_k
+        return [
+            (items, scores, count)
+            if count >= top_k
+            else (items[:count], scores[:count], count)
+            for items, scores, count in zip(
+                self._global_ids[ranked].tolist(),
+                np.take_along_axis(ctrs, order, axis=1).tolist(),
+                counts.tolist(),
+            )
+        ]
+
+    def _ranks_like(self, other: object) -> bool:
+        """Whether ``other`` ranks every query exactly as this engine does.
+
+        Ranking is a pure function of the filtering and ranking models,
+        the item slice, the candidate budget, top-k and the engine's
+        kernels, so equal state means equal rows.  Engines copy their
+        tables at build, so this assumes no model was retrained between
+        two engines' builds.  A replica group whose members rank alike
+        ranks each dispatch round once and hands every lane its rows.
+        """
+        return (
+            isinstance(other, _EngineBase)
+            and all(
+                getattr(type(other), kernel) is getattr(type(self), kernel)
+                for kernel in ("_ranked_rows", "_candidates_batch", "_ctrs_batch")
+            )
+            and other.filtering_model is self.filtering_model
+            and other.ranking_model is self.ranking_model
+            and other.num_candidates == self.num_candidates
+            and other.top_k == self.top_k
+            and np.array_equal(other._global_ids, self._global_ids)
+        )
 
     def _batch_cost(self, results: Sequence[QueryResult]) -> Cost:
         """Engine occupancy for a batch; base class serialises queries."""
@@ -423,17 +472,20 @@ class _EngineBase:
     # evaluates the hooks once per distinct count and replays the cached
     # entries into every query's ledger: identical categories, identical
     # Cost values, identical entry order -- hence bitwise the same
-    # per-query totals as ``recommend`` recomputing them.
+    # per-query totals as ``recommend`` recomputing them.  Anything folded
+    # from a query's ledger is therefore a function of its count too.
 
     def _query_cost_template(
         self, candidate_count: int
-    ) -> Tuple[List[Tuple[str, Cost]], Cost]:
-        """Full per-query ledger entries + their sequential total.
+    ) -> Tuple[List[Tuple[str, Cost]], Cost, float]:
+        """Full per-query ledger entries, their sequential total and the
+        query's slowest stage (the largest per-category latency, ns).
 
-        The total is the same ``Cost.sequence`` fold ``Ledger.total()``
-        performs over the same entries in the same order, computed once
-        per distinct candidate count instead of once per query (the
-        query-independent filtering entries once per engine).
+        The probe ledger that collects the entries folds both, with the
+        ``Ledger.total()`` and ``Ledger.by_category()`` a query's own
+        ledger runs, once per distinct candidate count instead of once
+        per query (the query-independent filtering entries once per
+        engine).
         """
         cached = self._query_template_cache.get(candidate_count)
         if cached is None:
@@ -441,26 +493,31 @@ class _EngineBase:
                 probe = Ledger()
                 self._charge_filtering(probe)
                 self._filtering_entries = list(probe)
-            probe = Ledger()
+            probe = Ledger(_entries=list(self._filtering_entries))
             self._charge_ranking(probe, candidate_count)
             self._charge_topk(probe, candidate_count)
-            entries = self._filtering_entries + list(probe)
-            cached = (entries, Cost.sequence(cost for _, cost in entries))
+            total = probe.total()
+            stages = [cost.latency_ns for cost in probe.by_category().values()]
+            cached = (list(probe), total, max(stages) if stages else total.latency_ns)
             self._query_template_cache[candidate_count] = cached
         return cached
 
-    def _templated_result(
-        self, items: List[int], scores: List[float], candidate_count: int
-    ) -> QueryResult:
-        """A batched query's result, its ledger replayed from the template."""
-        entries, total = self._query_cost_template(candidate_count)
-        return QueryResult(
-            items=items,
-            candidate_count=candidate_count,
-            cost=total,
-            ledger=Ledger(name=self._ledger_name(), _entries=list(entries)),
-            scores=scores,
-        )
+    def _templated_results(self, rows: Sequence[RankedRow]) -> List[QueryResult]:
+        """Batched queries' results, each ledger replayed from its template."""
+        name = self._ledger_name()
+        results = []
+        for items, scores, candidate_count in rows:
+            entries, total, _ = self._query_cost_template(candidate_count)
+            results.append(
+                QueryResult(
+                    items=items,
+                    candidate_count=candidate_count,
+                    cost=total,
+                    ledger=Ledger(name=name, _entries=list(entries)),
+                    scores=scores,
+                )
+            )
+        return results
 
     def merge_cost(self, num_entries: int) -> Cost:
         """Cost of reducing ``num_entries`` scored rows to a final top-k."""
@@ -665,8 +722,10 @@ class IMARSEngine(_EngineBase):
         """``analog_dnn=True`` routes the ranking MLP through the functional
         analog crossbar tiles (DAC/ADC quantisation + conductance noise)
         instead of exact arithmetic -- the full-fidelity simulation mode.
-        Such an engine serves a batch query by query: the crossbar draws
-        its noise per forward, and the batched scorer has no analog port."""
+        Such an engine serves a batch query by query: the batched scorer
+        has no analog port.  The crossbar draws its conductance noise once,
+        when the weights are programmed (``seed + 11``), so every forward
+        of one engine sees the same tiles."""
         super().__init__(filtering_model, ranking_model, num_candidates, top_k)
         self.mapping = mapping
         self.cost_model = cost_model or IMARSCostModel(mapping)
@@ -757,10 +816,24 @@ class IMARSEngine(_EngineBase):
         self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
     ) -> List[QueryResult]:
         """The shared batch path; an analog engine (no serving scorer)
-        serves query by query, drawing crossbar noise as ``recommend`` does."""
+        serves query by query through the crossbar forward, as
+        ``recommend`` does."""
         if self._scorer is None:
             return [self.recommend_query(query) for query in queries]
         return super()._serve_results(queries, users)
+
+    def _ranks_like(self, other: object) -> bool:
+        """The base conditions, plus the same LSH state -- hyperplanes,
+        signature words and radius -- and a digital scorer on both (an
+        analog crossbar has no batched ranking to share)."""
+        return (
+            super()._ranks_like(other)
+            and self._scorer is not None
+            and other._scorer is not None
+            and other.radius == self.radius
+            and np.array_equal(other.index.hasher._planes, self.index.hasher._planes)
+            and np.array_equal(other.index._item_words, self.index._item_words)
+        )
 
     # -- cost hooks (overridden by :class:`GPUSpilloverEngine`) ---------
     def _ledger_name(self) -> str:
@@ -802,10 +875,10 @@ class IMARSEngine(_EngineBase):
         energy_pj = sum(result.cost.energy_pj for result in results)
         latency_ns = results[0].cost.latency_ns
         for result in results[1:]:
-            stage_latencies = [
-                cost.latency_ns for cost in result.ledger.by_category().values()
-            ]
-            latency_ns += max(stage_latencies) if stage_latencies else result.cost.latency_ns
+            # Every result's ledger holds its count's template entries
+            # (``recommend`` charges the same hooks in the same order), so
+            # its slowest stage is the template's.
+            latency_ns += self._query_cost_template(result.candidate_count)[2]
         return Cost(energy_pj=energy_pj, latency_ns=latency_ns)
 
     def merge_cost(self, num_entries: int) -> Cost:

@@ -87,7 +87,12 @@ class ReLU(Module):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._mask = inputs > 0.0
-        return np.where(self._mask, inputs, 0.0)
+        # Bit for bit ``np.where(inputs > 0.0, inputs, 0.0)``: fmax maps
+        # NaN and negatives to 0.0, and adding +0.0 turns its -0.0 into
+        # +0.0.  The masked select costs ~6x more on a serving block.
+        outputs = np.fmax(inputs, 0.0)
+        outputs += 0.0
+        return outputs
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:

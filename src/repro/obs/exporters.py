@@ -161,7 +161,9 @@ def write_chrome_trace(
         },
     }
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
+        # ``json.dumps`` runs the C encoder; ``json.dump`` always streams
+        # through the pure-Python one (~3x slower, same bytes).
+        handle.write(json.dumps(document, sort_keys=True))
         handle.write("\n")
 
 

@@ -287,6 +287,7 @@ class DeploymentCapacityModel:
                 raise ValueError(f"duplicate deployment {entry.deployment}")
             seen.add(entry.deployment)
         self.utilization = utilization
+        self._capacity_qps = {entry.deployment: entry.capacity_qps for entry in capacities}
         self._by_energy = sorted(
             capacities,
             key=lambda entry: (entry.energy_per_request_uj, entry.deployment),
@@ -309,6 +310,10 @@ class DeploymentCapacityModel:
                 return entry.deployment
         return self._max_capacity.deployment
 
+    def capacity_qps(self, deployment: Tuple[int, int]) -> float:
+        """Measured capacity of ``deployment``; 0.0 if it was never measured."""
+        return self._capacity_qps.get(tuple(deployment), 0.0)
+
 
 def build_scale_plan(
     model: ForecastModel,
@@ -325,9 +330,12 @@ def build_scale_plan(
     Each ``step_s`` window's *peak* predicted rate picks a required
     deployment; a change is emitted ``lead_time_s`` before the window
     opens (clamped to ``start_s``), so the migration stall lands before
-    the ramp, not on it.  Scale-ins are conservative: the smaller
-    deployment must also carry 1.15 times the window peak, which keeps a
-    noisy fit from flapping around a threshold.  An empty plan (the
+    the ramp, not on it.  A move to a deployment of higher measured
+    capacity fires at once.  Any other move is a scale-in and is
+    conservative: the new deployment must also carry 1.15 times the
+    window peak, which keeps a noisy fit from flapping around a
+    threshold.  A starting deployment the capacity model never measured
+    counts as capacity 0, so every move from it grows.  An empty plan (the
     forecast never crosses a capacity threshold) is legal and
     bit-identical to running with no scaler at all.
 
@@ -354,12 +362,10 @@ def build_scale_plan(
         peak = model.peak_rate(window_start, window_end)
         needed = capacity.required_deployment(peak)
         if needed != current:
-            growing = capacity.required_deployment(
-                peak * _SCALE_IN_HEADROOM
-            ) != current
-            if needed > current or growing:
-                # ``needed > current`` orders tuples: any strict growth
-                # fires immediately; shrink only with headroom to spare.
+            growing = capacity.capacity_qps(needed) > capacity.capacity_qps(current)
+            if growing or (
+                capacity.required_deployment(peak * _SCALE_IN_HEADROOM) != current
+            ):
                 fire_s = max(start_s, window_start - lead_time_s)
                 events.append((fire_s, needed))
                 current = needed

@@ -15,7 +15,9 @@ axis -- R functionally identical copies of one shard's engine, with each
 dispatched micro-batch split across replicas by least outstanding work,
 so the group's occupancy per batch approaches 1/R of a single replica's.
 Replicas share the slice *and* the construction seed, so the group
-returns bit-identical recommendations regardless of R.
+returns bit-identical recommendations regardless of R.  Members that
+rank alike compute the same rows, so the group ranks each dispatch round
+once and every lane only bills its queries' rows on its own engine.
 
 A :class:`ReplicaGroup` may also be *heterogeneous*: IMC replicas next
 to GPU replicas of the same deployed model
@@ -55,6 +57,7 @@ from repro.core.pipeline import (
     GPUSpilloverEngine,
     IMARSEngine,
     QueryResult,
+    RankedRow,
     ServeQuery,
     embed_queries,
 )
@@ -117,6 +120,14 @@ class ReplicaGroup:
     In both modes the per-replica sub-batches run concurrently on
     disjoint hardware: group occupancy is the slowest replica, energy is
     the sum, and recommendations never depend on the routing.
+
+    When every member ranks like the first
+    (:meth:`~repro.core.pipeline._EngineBase._ranks_like`: the same
+    models, slice, budgets and LSH state), the group ranks a round once
+    on that member and hands each lane its queries' rows; the lane's
+    engine still bills them through its own cost templates, fault hook,
+    EWMAs and kernel span.  Otherwise (different seeds, analog members,
+    engines of other kinds) each lane ranks its own sub-batch.
     """
 
     #: Telemetry and fault plane, planted on every node of the fleet
@@ -151,6 +162,13 @@ class ReplicaGroup:
         self.assigned = [0] * len(self.replicas)
         #: Queries routed past the cheapest replica (spillover mode only).
         self.spilled = 0
+        #: The member that ranks each round for every lane (None: each
+        #: lane ranks its own sub-batch).
+        first = self.replicas[0]
+        alike = hasattr(first, "_ranks_like") and all(
+            map(first._ranks_like, self.replicas[1:])
+        )
+        self._ranker = first if alike else None
 
     @property
     def top_k(self) -> int:
@@ -288,7 +306,9 @@ class ReplicaGroup:
 
         ``users`` (the router's user-tower rows, one per query) are
         sliced with the queries, so every lane -- retries and hedges
-        included -- serves its sub-batch from the same rows.
+        included -- serves its sub-batch from the same rows.  A group
+        with a ranker ranks the whole round once and slices the ranked
+        rows the same way.
 
         Under an attached fault plane (``_faults``) routing skips
         replicas whose breakers are open and each lane recovers from
@@ -319,6 +339,9 @@ class ReplicaGroup:
             if len(allowed) == len(self.replicas):
                 allowed = None  # the healthy fast path routes as before
         assignment = self.assign(len(queries), allowed=allowed)
+        rows = None
+        if self._ranker is not None:
+            rows = self._ranker._ranked_rows(queries, users)
         obs = self._obs
         tracer = obs.tracer if obs is not None else None
         if tracer is not None and not tracer.active:
@@ -336,6 +359,7 @@ class ReplicaGroup:
                 index,
                 [queries[position] for position in positions],
                 None if users is None else users[positions],
+                None if rows is None else [rows[position] for position in positions],
                 ctx,
                 base_s,
                 tracer,
@@ -359,6 +383,7 @@ class ReplicaGroup:
         index: int,
         sub: Sequence[ServeQuery],
         sub_users: Optional[np.ndarray],
+        sub_rows: Optional[List[RankedRow]],
         ctx,
         base_s: float,
         tracer,
@@ -368,6 +393,8 @@ class ReplicaGroup:
         """One replica lane of a dispatch round.
 
         Returns the lane's per-query results plus its occupancy cost.
+        Every attempt -- retries and hedges included -- serves the same
+        ``sub_rows`` when the round was ranked once.
         The first attempt goes to the planned replica -- without a fault
         plane it is the only one.  Each failure pays a detection latency
         (:meth:`~repro.serving.resilience.FaultContext.detection_s`),
@@ -381,6 +408,8 @@ class ReplicaGroup:
         resilience = ctx.resilience if ctx is not None else None
         shard = self._fault_site
         n = len(sub)
+        # Without ranked rows, the two-argument call every engine takes.
+        args = (sub, sub_users) if sub_rows is None else (sub, sub_users, sub_rows)
         if tracer is not None:
             # Replica sub-batches run concurrently: each replica span
             # starts when the enclosing (shard) stage started.
@@ -414,7 +443,7 @@ class ReplicaGroup:
                     ctx.breaker(shard, current).take_probe()
                 ctx.begin_round(base_s + lane_offset_s)
             try:
-                batch = self.replicas[current].serve_batch(sub, sub_users)
+                batch = self.replicas[current].serve_batch(*args)
                 break
             except FaultError as fault:
                 # Only a planted fault hook raises, so ctx is attached.
@@ -525,7 +554,7 @@ class ReplicaGroup:
                 ctx.breaker(shard, target).take_probe()
                 ctx.begin_round(base_s + lane_offset_s + hedge_delay_s)
                 try:
-                    hedge_batch = self.replicas[target].serve_batch(sub, sub_users)
+                    hedge_batch = self.replicas[target].serve_batch(*args)
                     hedge_latency_s = hedge_delay_s + hedge_batch.cost.latency_s
                     ctx.breaker(shard, target).record_success(
                         base_s + lane_offset_s + hedge_latency_s
@@ -883,8 +912,9 @@ def make_sharded_engine(
 
     ``replicas_per_shard > 1`` wraps every shard in a
     :class:`ReplicaGroup` of R engines built with *the same seed* (so
-    every replica owns an identical LSH index and recommendations do not
-    depend on R) -- the throughput win replication buys.
+    every replica owns an identical LSH index, recommendations do not
+    depend on R, and the group ranks each round once) -- the throughput
+    win replication buys.
 
     ``spillover_replicas_per_shard > 0`` (iMARS only) additionally puts
     that many :class:`~repro.core.pipeline.GPUSpilloverEngine` replicas

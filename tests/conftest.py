@@ -33,14 +33,19 @@ def _per_query_twin(fleet):
     This is the reference each engine's batch path is pinned to.
     ``serve_batch`` still applies the engine's batch cost model, fault
     hook and EWMA updates, so a twin's batch cost, EWMAs and kernel span
-    are what the engine derives from per-query results.  ``fleet`` may
-    be a bare engine, a replica group or a shard router.  Returns
-    ``fleet``.
+    are what the engine derives from per-query results.  A replica group
+    that ranks a round once calls ``_ranked_rows`` on one member, so the
+    twin replaces that too.  ``fleet`` may be a bare engine, a replica
+    group or a shard router.  Returns ``fleet``.
     """
     for engine, _, replica in iter_engines(fleet):
         if replica is not None:
             engine._serve_results = lambda queries, users=None, engine=engine: [
                 engine.recommend_query(query) for query in queries
+            ]
+            engine._ranked_rows = lambda queries, users=None, engine=engine: [
+                (result.items, result.scores, result.candidate_count)
+                for result in engine._serve_results(queries)
             ]
     return fleet
 

@@ -38,10 +38,48 @@ class TestLinear:
         np.testing.assert_array_equal(a.weight.data, b.weight.data)
 
 
+_FLOAT_EDGES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+
+
+def _relu_block(kind):
+    """ReLU inputs holding every float64 edge case.
+
+    "serving" is a (146, 128) first-layer serving block (18,688 elements)
+    with the edges scattered through it.  numpy's ``fmax`` returns -0.0
+    for ``fmax(-0.0, 0.0)`` on a lone element and on the first element
+    past the last full SIMD stride, so the two small blocks put -0.0
+    exactly there.
+    """
+    if kind == "one-element":
+        return np.array([[-0.0]])
+    if kind == "ragged-row":
+        return np.array([_FLOAT_EDGES + [-0.0]])
+    rng = np.random.default_rng(0)
+    inputs = rng.normal(0.0, 1.0, size=(146, 128))
+    flat = inputs.reshape(-1)
+    positions = rng.choice(flat.size, size=800, replace=False)
+    flat[positions] = np.resize(_FLOAT_EDGES, positions.size)
+    return inputs
+
+
 class TestActivations:
     def test_relu_clamps_negatives(self):
         outputs = ReLU()(np.array([[-2.0, 0.0, 3.0]]))
         assert outputs.tolist() == [[0.0, 0.0, 3.0]]
+
+    @pytest.mark.parametrize("block", ["serving", "one-element", "ragged-row"])
+    def test_relu_is_the_masked_select_bit_for_bit(self, block):
+        inputs = _relu_block(block)
+        layer = ReLU()
+        outputs = layer(inputs)
+        expected = np.where(inputs > 0.0, inputs, 0.0)
+        assert outputs.dtype == expected.dtype and outputs.shape == expected.shape
+        assert np.array_equal(outputs.view(np.uint64), expected.view(np.uint64))
+        assert not np.signbit(outputs[inputs == 0.0]).any()
+        # backward still reads the mask forward stored.
+        assert np.array_equal(layer._mask, inputs > 0.0)
+        grad = layer.backward(np.ones_like(inputs))
+        assert np.array_equal(grad, (inputs > 0.0).astype(np.float64))
 
     def test_sigmoid_range_and_midpoint(self):
         layer = Sigmoid()

@@ -164,6 +164,18 @@ def _capacity_model(utilization=0.7):
     )
 
 
+def _crossed_capacity_model():
+    """(2, 1) sorts above (1, 2) as a tuple but carries less traffic."""
+    return DeploymentCapacityModel(
+        [
+            DeploymentCapacity((1, 1), 100.0, energy_per_request_uj=1.0),
+            DeploymentCapacity((2, 1), 150.0, energy_per_request_uj=2.0),
+            DeploymentCapacity((1, 2), 200.0, energy_per_request_uj=3.0),
+        ],
+        utilization=1.0,
+    )
+
+
 class TestDeploymentCapacityModel:
     def test_picks_cheapest_adequate_deployment(self):
         capacity = _capacity_model()
@@ -184,6 +196,11 @@ class TestDeploymentCapacityModel:
 
     def test_overload_falls_back_to_largest_capacity(self):
         assert _capacity_model().required_deployment(10_000.0) == (2, 2)
+
+    def test_capacity_of_a_deployment(self):
+        capacity = _crossed_capacity_model()
+        assert capacity.capacity_qps((2, 1)) == 150.0
+        assert capacity.capacity_qps((3, 3)) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -241,6 +258,28 @@ class TestPlanScaleEvents:
         )
         assert isinstance(plan, ScheduledScalePlan)
         assert plan.events == []
+
+    @pytest.mark.parametrize(
+        "rate_qps, initial, expected",
+        [
+            (149.0, (1, 2), []),
+            (120.0, (1, 2), [(0.0, (2, 1))]),
+            (99.0, (2, 1), []),
+            (99.0, (3, 3), [(0.0, (1, 1))]),
+        ],
+        ids=["no-headroom", "headroom", "smaller-tuple", "unmeasured-start"],
+    )
+    def test_scale_in_is_decided_by_capacity(self, rate_qps, initial, expected):
+        """(2, 1) sorts above (1, 2) but carries less, so moving there is a
+        scale-in and needs the 1.15x headroom: 149 * 1.15 > 150, while
+        120 * 1.15 <= 150.  A start the model never measured has
+        capacity 0, so leaving it always grows."""
+        events = build_scale_plan(
+            ForecastModel(base_qps=rate_qps, amplitude=0.0, period_s=8.0),
+            _crossed_capacity_model(), start_s=0.0, horizon_s=4.0, step_s=0.5,
+            lead_time_s=0.5, initial_deployment=initial,
+        ).events
+        assert events == expected
 
     def test_lead_time_clamps_at_start(self):
         model = ForecastModel(base_qps=120.0, amplitude=0.0, period_s=8.0)

@@ -7,7 +7,9 @@ same EWMA state afterwards -- across plain iMARS, GPU spillover and GPU
 reference engines, shards, replica groups and heterogeneous spillover.
 A shard router runs the fleet's shared user tower once per batch and
 hands the rows down; a router whose shards hold different towers lets
-each engine embed for itself.
+each engine embed for itself.  A replica group whose members rank alike
+ranks each round once and bills every lane on its own engine; a group
+whose members differ ranks per lane.
 CI runs this file as its own job before the coverage gate so an
 equivalence break fails fast.
 """
@@ -18,6 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.pipeline import GPUReferenceEngine, GPUSpilloverEngine, IMARSEngine
 from repro.energy.accounting import Cost
 from repro.models.youtube_dnn import (
@@ -26,7 +29,13 @@ from repro.models.youtube_dnn import (
     YouTubeDNNFiltering,
 )
 from repro.nn.stable import stable_matmul
-from repro.serving.shard import ShardedEngine, make_sharded_engine, partition_corpus
+from repro.nns.lsh_search import LSHHammingIndex
+from repro.serving.shard import (
+    ReplicaGroup,
+    ShardedEngine,
+    make_sharded_engine,
+    partition_corpus,
+)
 
 
 def _snapshot(results):
@@ -158,11 +167,168 @@ class TestOneUserTowerPassPerRouterBatch:
         assert batch.cost == reference.cost
 
 
+def _counted(monkeypatch, owner, name):
+    """Count calls of ``owner.name`` (a list whose length is the count)."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _by_category_fold(results):
+    """The iMARS pipelined batch cost as folded before the templates
+    cached each count's slowest stage: one ``by_category`` per result."""
+    energy_pj = sum(result.cost.energy_pj for result in results)
+    latency_ns = results[0].cost.latency_ns
+    for result in results[1:]:
+        stages = [cost.latency_ns for cost in result.ledger.by_category().values()]
+        latency_ns += max(stages) if stages else result.cost.latency_ns
+    return Cost(energy_pj=energy_pj, latency_ns=latency_ns)
+
+
+class TestPricedOncePerQueryShape:
+    def test_batch_cost_equals_the_per_result_fold(self, serving_setup):
+        _, filtering, ranking, mapping, workload = serving_setup
+        engine = IMARSEngine(filtering, ranking, mapping, seed=0)
+        served = engine.serve_batch((workload * 2)[:40]).results
+        # Mixed counts, repeats and both ends of the budget, in an
+        # order no serve produces.
+        counts = [72, 1, 5, 1, 72, 30, 2, 5, 17]
+        results = served + engine._templated_results([([], [], count) for count in counts])
+        assert len({result.candidate_count for result in results}) > 5
+        assert engine._batch_cost(results) == _by_category_fold(results)
+        assert engine._batch_cost(results[::-1]) == _by_category_fold(results[::-1])
+
+    def test_analog_results_price_like_their_ledgers(self, serving_setup):
+        # An analog engine's results come from recommend, not the
+        # templates: their ledgers hold the same entries all the same.
+        _, filtering, ranking, mapping, workload = serving_setup
+        engine = IMARSEngine(filtering, ranking, mapping, seed=0, analog_dnn=True)
+        results = [engine.recommend_query(query) for query in workload[:12]]
+        assert engine._batch_cost(results) == _by_category_fold(results)
+
+
+class TestOneRankingPerReplicaRound:
+    def test_router_ranks_each_group_round_once(
+        self, serving_setup, per_query_twin, monkeypatch
+    ):
+        _, filtering, ranking, mapping, workload = serving_setup
+
+        def build():
+            return make_sharded_engine(
+                "imars", filtering, ranking, mapping=mapping, num_shards=4,
+                replicas_per_shard=2, seed=0,
+            )
+
+        router, twin = build(), per_query_twin(build())
+        scans = _counted(monkeypatch, LSHHammingIndex, "distances_batch")
+        lanes = _counted(monkeypatch, pipeline._EngineBase, "serve_batch")
+        queries = (workload * 2)[:50]
+        for batch_queries in (queries, queries[:7], queries[20:21]):
+            scans.clear()
+            lanes.clear()
+            batch = router.serve_batch(batch_queries)
+            # One scan per group round; every lane still serves its part.
+            assert len(scans) == len(router.shards)
+            assert len(lanes) == sum(
+                min(2, len(batch_queries)) for _ in router.shards
+            )
+            reference = twin.serve_batch(batch_queries)
+            assert _snapshot(batch.results) == _snapshot(reference.results)
+            assert batch.cost == reference.cost
+
+    def test_imc_and_spillover_lanes_keep_their_own_bills(
+        self, serving_setup, per_query_twin, monkeypatch
+    ):
+        _, filtering, ranking, mapping, workload = serving_setup
+
+        def members():
+            return [
+                IMARSEngine(filtering, ranking, mapping, seed=0),
+                GPUSpilloverEngine(filtering, ranking, mapping, seed=0),
+            ]
+
+        group, twin = ReplicaGroup(members()), per_query_twin(ReplicaGroup(members()))
+        scans = _counted(monkeypatch, LSHHammingIndex, "distances_batch")
+        queries = (workload * 2)[:30]
+        batch = group.serve_batch(queries)
+        assert len(scans) == 1
+        reference = twin.serve_batch(queries)
+        assert _snapshot(batch.results) == _snapshot(reference.results)
+        assert batch.cost == reference.cost
+        # Each lane bills on its own platform: its results are what its
+        # own engine's recommend charges.
+        solo = dict(zip(("imars-query", "gpu-spillover-query"), members()))
+        names = [result.ledger.name for result in batch.results]
+        assert set(names) == set(solo)
+        for query, result in zip(queries, batch.results):
+            expected = solo[result.ledger.name].recommend_query(query)
+            assert _snapshot([result]) == _snapshot([expected])
+        assert [replica.expected_query_energy_pj for replica in group.replicas] == [
+            replica.expected_query_energy_pj for replica in twin.replicas
+        ]
+
+    def test_gpu_reference_group_ranks_once(
+        self, serving_setup, per_query_twin, monkeypatch
+    ):
+        _, filtering, ranking, _, workload = serving_setup
+
+        def build():
+            return ReplicaGroup(
+                [GPUReferenceEngine(filtering, ranking) for _ in range(3)]
+            )
+
+        group, twin = build(), per_query_twin(build())
+        scans = _counted(monkeypatch, pipeline, "cosine_topk_batch")
+        queries = (workload * 2)[:30]
+        batch = group.serve_batch(queries)
+        assert len(scans) == 1
+        reference = twin.serve_batch(queries)
+        assert _snapshot(batch.results) == _snapshot(reference.results)
+        assert batch.cost == reference.cost
+
+    @pytest.mark.parametrize(
+        "second",
+        [dict(seed=1), dict(seed=0, analog_dnn=True)],
+        ids=["other-seed", "analog"],
+    )
+    def test_members_that_rank_differently_rank_per_lane(
+        self, second, serving_setup, monkeypatch
+    ):
+        _, filtering, ranking, mapping, workload = serving_setup
+
+        def members():
+            return [
+                IMARSEngine(filtering, ranking, mapping, seed=0),
+                IMARSEngine(filtering, ranking, mapping, **second),
+            ]
+
+        group, solo = ReplicaGroup(members()), members()
+        queries = (workload * 2)[:40]
+        plan = group.assign(len(queries))
+        assert all(plan), "both lanes must serve"
+        batch = group.serve_batch(queries)
+        # Every result is what the lane's own engine recommends alone.
+        differs = False
+        for lane, positions in enumerate(plan):
+            for position in positions:
+                expected = solo[lane].recommend_query(queries[position])
+                assert _snapshot([batch.results[position]]) == _snapshot([expected])
+                other = solo[1 - lane].recommend_query(queries[position])
+                differs |= other.items != expected.items
+        assert differs, "the two members must rank some query differently"
+
+
 class TestAnalogFallsBackToScalar:
     def test_analog_disables_vector_kernels(self, serving_setup):
-        # Crossbar noise is drawn per forward and the batched scorer has
-        # no analog port, so an analog engine serves a batch query by
-        # query: exactly what per-query recommend returns and draws.
+        # The batched scorer has no analog port, so an analog engine
+        # serves a batch query by query: exactly what per-query
+        # recommend returns.
         _, filtering, ranking, mapping, workload = serving_setup
         engines = [
             IMARSEngine(filtering, ranking, mapping, seed=0, analog_dnn=True)
