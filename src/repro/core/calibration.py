@@ -16,7 +16,8 @@ We model that component as
 
 and fit (a, b) on exactly two of the three published points -- MovieLens
 filtering and Criteo ranking -- leaving MovieLens ranking as a held-out
-validation (the fitted model predicts it within ~2%; see EXPERIMENTS.md).
+validation (the fitted model predicts it within ~2%: the movielens_ranking
+iMARS energy row of E5, Table III, in docs/experiments.md).
 The fit is performed from the *model's own* dynamic numbers, so it stays
 consistent if the underlying FoMs are swept.
 """

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.circuits.synthesis import SerialBusSynthesis, SynthesisTech, NANGATE45
+from repro.circuits.synthesis import SynthesisTech, NANGATE45
 from repro.energy.accounting import Cost, ZERO_COST
 
 __all__ = ["RSCBus", "IBCNetwork"]
@@ -32,14 +32,6 @@ class RSCBus:
     length_mm: float = 2.0
     beat_ns: float = 0.7
     tech: SynthesisTech = NANGATE45
-
-    def _bus(self) -> SerialBusSynthesis:
-        return SerialBusSynthesis(
-            width_bits=self.width_bits,
-            length_mm=self.length_mm,
-            beat_ns=self.beat_ns,
-            tech=self.tech,
-        )
 
     def transfer(self, payload_bits: int) -> Cost:
         """One block-to-block transfer of *payload_bits* (serialised)."""

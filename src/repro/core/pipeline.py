@@ -45,7 +45,8 @@ uniform batch interface the online serving subsystem
   rows (:func:`embed_queries`), which the shard router computes once for
   a whole fleet that shares one filtering model, and ``ranked`` the
   queries' ranked rows, which a replica group whose members rank alike
-  (:meth:`_ranks_like`) computes once per dispatch round;
+  (:meth:`_ranks_like`) computes once per dispatch round, or which the
+  shard router reads from the table it ranked ahead;
 * :attr:`expected_query_latency_s` -- an EWMA of the engine's observed
   per-query occupancy, the work estimate replica routers
   (:class:`repro.serving.shard.ReplicaGroup`) use for
@@ -196,6 +197,23 @@ def embed_queries(
 RankedRow = Tuple[List[int], List[float], int]
 
 
+def ranked_rows(
+    items: np.ndarray, scores: np.ndarray, counts: np.ndarray, top_k: int
+) -> List[RankedRow]:
+    """The ranked rows held in arrays (:meth:`_EngineBase._ranked_arrays`,
+    or rows of a shard router's ranked table).  The arrays are at most
+    ``top_k`` wide: a row of at least ``top_k`` candidates is the whole
+    row, a shorter one its first ``count`` entries (the rest is padding)."""
+    return [
+        (row_items, row_scores, count)
+        if count >= top_k
+        else (row_items[:count], row_scores[:count], count)
+        for row_items, row_scores, count in zip(
+            items.tolist(), scores.tolist(), counts.tolist()
+        )
+    ]
+
+
 class _EngineBase:
     """The one query pipeline every engine runs (Sec. IV-C3).
 
@@ -338,8 +356,9 @@ class _EngineBase:
         the shard router computes once per batch for every shard; without
         them the engine runs the tower itself.  ``ranked`` are the queries'
         rows as an engine that ranks like this one (:meth:`_ranks_like`)
-        ranked them: the engine then skips its own ranking and only bills
-        the rows through its own cost templates.
+        ranked them, in this batch or ahead of it: the engine then skips
+        its own ranking and only bills the rows through its own cost
+        templates.
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
@@ -401,7 +420,15 @@ class _EngineBase:
     def _ranked_rows(
         self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
     ) -> List[RankedRow]:
-        """Every query's ranked row, bit-identical to :meth:`recommend`'s.
+        """Every query's ranked row, bit-identical to :meth:`recommend`'s."""
+        return ranked_rows(*self._ranked_arrays(queries, users), self.top_k)
+
+    def _ranked_arrays(
+        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every query's ranked row as arrays: (global item ids, CTRs), each
+        (Q, width <= top-k) and best first, and the (Q,) candidate counts.
+        A row's entries past its count are padding (see :func:`ranked_rows`).
 
         One user-tower pass (unless the router handed ``users`` down),
         one NNS pass (candidate rows padded to the longest, plus each
@@ -409,7 +436,8 @@ class _EngineBase:
         and one row-wise stable CTR argsort.  Each row keeps its query's
         candidate order, and CTRs are sigmoid outputs (> 0), so the -1
         padding sorts after every real candidate and the argsort equals
-        the per-query sort.
+        the per-query sort.  So every row is independent of the batch
+        it was ranked in.
         """
         if users is None:
             users = embed_queries(self.filtering_model, queries)
@@ -421,20 +449,9 @@ class _EngineBase:
         ctrs[valid] = self._ctrs_batch(users, contexts, owners, padded[valid])
         order = np.argsort(-ctrs, axis=1, kind="stable")[:, : self.top_k]
         # Rows shorter than top-k end in padding: clamp it to a real row
-        # before the id lookup (the tail is sliced away below).
+        # before the id lookup (ranked_rows slices the tail away).
         ranked = np.minimum(np.take_along_axis(padded, order, axis=1), self.corpus_size - 1)
-        # A row of at least top-k candidates is exactly top-k long.
-        top_k = self.top_k
-        return [
-            (items, scores, count)
-            if count >= top_k
-            else (items[:count], scores[:count], count)
-            for items, scores, count in zip(
-                self._global_ids[ranked].tolist(),
-                np.take_along_axis(ctrs, order, axis=1).tolist(),
-                counts.tolist(),
-            )
-        ]
+        return self._global_ids[ranked], np.take_along_axis(ctrs, order, axis=1), counts
 
     def _ranks_like(self, other: object) -> bool:
         """Whether ``other`` ranks every query exactly as this engine does.
@@ -445,12 +462,17 @@ class _EngineBase:
         tables at build, so this assumes no model was retrained between
         two engines' builds.  A replica group whose members rank alike
         ranks each dispatch round once and hands every lane its rows.
+        An engine ranks like itself exactly when it ranks in batch (an
+        analog iMARS engine does not), which a shard router checks before
+        it ranks a trace ahead.
         """
         return (
             isinstance(other, _EngineBase)
             and all(
                 getattr(type(other), kernel) is getattr(type(self), kernel)
-                for kernel in ("_ranked_rows", "_candidates_batch", "_ctrs_batch")
+                for kernel in (
+                    "_ranked_rows", "_ranked_arrays", "_candidates_batch", "_ctrs_batch"
+                )
             )
             and other.filtering_model is self.filtering_model
             and other.ranking_model is self.ranking_model

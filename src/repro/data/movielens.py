@@ -15,7 +15,8 @@ produces a dataset with the *same shape statistics*:
 These cardinalities reproduce the published memory mapping (7 banks,
 8 mats, 54 CMAs) through :class:`repro.core.mapping.WorkloadMapping`; the
 paper does not list per-ET sizes, so MovieLens-realistic values matching
-the aggregate counts were chosen (documented in EXPERIMENTS.md).
+the aggregate counts were chosen (E2, Table I, in docs/experiments.md pins
+those counts).
 
 A ``scale`` parameter shrinks users/items proportionally for fast tests
 while keeping the full-size table *specs* (used by the mapping experiments)

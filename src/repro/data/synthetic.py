@@ -92,11 +92,18 @@ class LatentFactorModel:
         return weights / weights.sum()
 
     def sample_history(self, user: int, length: int) -> np.ndarray:
-        """Sample a watch history (with replacement, like repeat plays)."""
+        """Sample a watch history (with replacement, like repeat plays).
+
+        Draws exactly what ``self._rng.choice(num_items, size=length,
+        p=probabilities)`` draws -- numpy's own inverse-CDF algorithm on
+        the same uniforms -- without ``choice``'s per-call validation of
+        ``p`` (a softmax is a valid distribution by construction).
+        """
         if length < 1:
             raise ValueError("history length must be positive")
-        probabilities = self.interaction_probabilities(user)
-        return self._rng.choice(self.num_items, size=length, p=probabilities)
+        cdf = self.interaction_probabilities(user).cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(self._rng.random(length), side="right")
 
     def sample_click(self, user: int, item: int, base_rate: float = 0.2) -> int:
         """Bernoulli click for a (user, item) pair, CTR-style."""

@@ -37,7 +37,7 @@ from repro.experiments.fig2_breakdown import run_fig2, PAPER_FIG2
 from repro.experiments.table1_mapping import run_table1, PAPER_TABLE1
 from repro.experiments.table2_array_fom import run_table2, PAPER_TABLE2
 from repro.experiments.accuracy_study import run_accuracy_study, PAPER_ACCURACY
-from repro.experiments.table3_et_ops import run_table3, measured_table3, PAPER_TABLE3
+from repro.experiments.table3_et_ops import run_table3, PAPER_TABLE3
 from repro.experiments.nns_comparison import run_nns_comparison, PAPER_NNS
 from repro.experiments.end_to_end import (
     run_end_to_end,
@@ -94,7 +94,6 @@ __all__ = [
     "run_accuracy_study",
     "PAPER_ACCURACY",
     "run_table3",
-    "measured_table3",
     "PAPER_TABLE3",
     "run_nns_comparison",
     "PAPER_NNS",

@@ -1,8 +1,9 @@
 """Shared experiment infrastructure: paper targets and comparison records.
 
 Every experiment module returns a structured result carrying the paper's
-published value next to the reproduced one, so the benchmark harness (and
-EXPERIMENTS.md) can report paper-vs-measured for every table and figure.
+published value next to the reproduced one, so the benchmark harness
+(catalogued in docs/experiments.md) can report paper-vs-measured for every
+table and figure.
 """
 
 from __future__ import annotations

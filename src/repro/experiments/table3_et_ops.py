@@ -23,7 +23,7 @@ out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from repro.core.accelerator import IMARSCostModel
 from repro.core.mapping import FILTERING, RANKING, WorkloadMapping
@@ -111,8 +111,3 @@ def run_table3() -> ExperimentReport:
     )
     report.extras["rows"] = rows
     return report
-
-
-def measured_table3() -> Dict[str, Table3Row]:
-    """Rows keyed by label (used by the benchmark harness)."""
-    return {row.label: row for row in _rows()}

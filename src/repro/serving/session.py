@@ -19,6 +19,11 @@ Timing model of one dispatched batch:
 * the engine is occupied for lookups + miss batch + cache fills, which is
   what the scheduler's free-time clock advances by.
 
+Before the first batch, the trace's queries are ranked ahead once per
+fleet (:meth:`~repro.serving.shard.ShardedEngine.rank_ahead`), and the
+lanes bill every batch from that table: host-side only, so simulated
+time, ledgers and spans are those of ranking per batch.
+
 Online scale events
 -------------------
 With an ``engine_factory`` the deployment is no longer fixed for the
@@ -58,6 +63,7 @@ from repro.serving.resilience import (
 from repro.serving.scheduler import Batch, MicroBatchConfig, MicroBatchScheduler
 from repro.serving.shard import (
     ReplicaGroup,
+    ShardedEngine,
     iter_engines,
     migration_cost,
     plan_scale_migration,
@@ -493,6 +499,7 @@ class ServingSession:
         self._pending_migration = Cost()
         self._reported_events = 0  # scale events already returned by a run
         self._retired_spill = (0, 0)  # totals from engines already swapped out
+        self._run_queries: List[ServeQuery] = []  # the running trace's queries
 
     def _attach_planes(self) -> None:
         """Plant the session's telemetry and fault plane on every node of
@@ -506,6 +513,11 @@ class ServingSession:
 
     def _query_for(self, request: Request) -> ServeQuery:
         return self.workload[request.user % len(self.workload)]
+
+    def _rank_ahead(self) -> None:
+        """Rank the running trace's queries ahead on a shard router."""
+        if isinstance(self.engine, ShardedEngine):
+            self.engine.rank_ahead(self._run_queries)
 
     def warm(self, users: Sequence[int]) -> Cost:
         """Pre-serve ``users``' queries and seed the cache with the results.
@@ -582,8 +594,10 @@ class ServingSession:
         self._retired_spill = self._spill_totals()
         self.engine = self.engine_factory(shards, replicas)
         # The factory built a fresh fleet: re-plant both planes (the
-        # breakers, keyed by site, survive the swap).
+        # breakers, keyed by site, survive the swap) and rank the
+        # running trace ahead on it.
         self._attach_planes()
+        self._rank_ahead()
         event = ScaleEvent(
             time_s=now_s,
             old_deployment=self.deployment,
@@ -633,7 +647,9 @@ class ServingSession:
     def run(self, requests: Sequence[Request]) -> ServingResult:
         """Drive the scheduler over ``requests`` and collect the records.
 
-        Each dispatched batch passes the stages in request order:
+        The trace's queries are ranked ahead on the fleet first (and on
+        every fleet a scale event builds during the run).  Each
+        dispatched batch then passes the stages in request order:
         :meth:`_admit`, :meth:`_flush_fault_caches`, :meth:`_lookup`,
         :meth:`_serve_misses`, :meth:`_build_records`, then
         :meth:`_drain_migration` around the scaler's turn.  Every
@@ -684,7 +700,10 @@ class ServingSession:
             observer.end_batch(dispatch_s + occupancy.latency_s)
             return occupancy.latency_s
 
+        self._run_queries = [self._query_for(request) for request in requests]
+        self._rank_ahead()
         batches = self.scheduler.run(requests, service)
+        self._run_queries = []
         records.sort(key=lambda record: record.request.request_id)
         self._reported_events = len(self.scale_events)
         result = ServingResult(

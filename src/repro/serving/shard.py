@@ -9,6 +9,13 @@ merges the per-shard top-k by CTR score (gather).  The shards of a fleet
 filter with one shared user tower, so the router runs it once per batch
 and hands the rows down to every engine.
 
+A query's ranked answer depends only on the fleet's tables and the query,
+so a router whose every shard ranks in batch can rank a whole trace's
+distinct queries ahead (:meth:`ShardedEngine.rank_ahead`) and keep the
+rows for the fleet's life.  A batch whose queries are all in that table
+skips the tower and every ranking kernel; each engine still bills its
+rows per batch, so costs, ledgers, spans and routing are unchanged.
+
 Sharding cuts *per-query* latency but not queueing: one engine per slice
 is still a serial resource.  :class:`ReplicaGroup` adds the throughput
 axis -- R functionally identical copies of one shard's engine, with each
@@ -45,7 +52,7 @@ slice.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +67,7 @@ from repro.core.pipeline import (
     RankedRow,
     ServeQuery,
     embed_queries,
+    ranked_rows,
 )
 from repro.energy.accounting import ZERO_COST, Cost, Ledger
 from repro.serving.faults import FaultError
@@ -75,6 +83,11 @@ __all__ = [
     "iter_engines",
     "make_sharded_engine",
 ]
+
+#: Candidate rows one rank-ahead chunk may score: a chunk holds
+#: ``_RANK_AHEAD_ROWS // (the fleet's largest candidate budget)`` queries,
+#: so its temporaries (distances, feature rows) stay serve-batch sized.
+_RANK_AHEAD_ROWS = 256
 
 
 def partition_corpus(num_items: int, num_shards: int) -> List[np.ndarray]:
@@ -163,10 +176,12 @@ class ReplicaGroup:
         #: Queries routed past the cheapest replica (spillover mode only).
         self.spilled = 0
         #: The member that ranks each round for every lane (None: each
-        #: lane ranks its own sub-batch).
+        #: lane ranks its own sub-batch).  The first member must rank in
+        #: batch itself (an analog engine ranks per query) and every
+        #: other member like it.
         first = self.replicas[0]
         alike = hasattr(first, "_ranks_like") and all(
-            map(first._ranks_like, self.replicas[1:])
+            map(first._ranks_like, self.replicas)
         )
         self._ranker = first if alike else None
 
@@ -300,7 +315,10 @@ class ReplicaGroup:
         return self.serve_batch([query]).results[0]
 
     def serve_batch(
-        self, queries: Sequence[ServeQuery], users: Optional[np.ndarray] = None
+        self,
+        queries: Sequence[ServeQuery],
+        users: Optional[np.ndarray] = None,
+        ranked: Optional[Sequence[RankedRow]] = None,
     ) -> BatchResult:
         """Route one dispatch round and serve every replica lane.
 
@@ -308,7 +326,8 @@ class ReplicaGroup:
         sliced with the queries, so every lane -- retries and hedges
         included -- serves its sub-batch from the same rows.  A group
         with a ranker ranks the whole round once and slices the ranked
-        rows the same way.
+        rows the same way; ``ranked`` (the rows the router's table holds
+        for these queries) stands in for that ranking.
 
         Under an attached fault plane (``_faults``) routing skips
         replicas whose breakers are open and each lane recovers from
@@ -339,8 +358,8 @@ class ReplicaGroup:
             if len(allowed) == len(self.replicas):
                 allowed = None  # the healthy fast path routes as before
         assignment = self.assign(len(queries), allowed=allowed)
-        rows = None
-        if self._ranker is not None:
+        rows = ranked
+        if rows is None and self._ranker is not None:
             rows = self._ranker._ranked_rows(queries, users)
         obs = self._obs
         tracer = obs.tracer if obs is not None else None
@@ -634,6 +653,15 @@ class ShardedEngine:
         self._filtering_model = (
             models[0] if all(model is models[0] for model in models) else None
         )
+        # The engine that ranks each shard's batches; None (no table:
+        # an analog engine, a group whose members differ, a stub) unless
+        # every shard has one.
+        rankers = [_batch_ranker(shard) for shard in self.shards]
+        self._rankers = None if None in rankers else rankers
+        # The ranked table (rank_ahead): query -> row, and per shard
+        # (ids (U, top-k) int64, CTRs (U, top-k) float64, counts (U,)).
+        self._table_row: Dict[ServeQuery, int] = {}
+        self._table: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         # The platform merge model is a pure function of the gathered
         # entry count, so each distinct count is priced once per router
         # and replayed for every query (identical Cost values, identical
@@ -657,6 +685,71 @@ class ShardedEngine:
         """Batch-of-one convenience mirroring the engine interface."""
         return self.serve_batch([query]).results[0]
 
+    def rank_ahead(self, queries: Iterable[ServeQuery]) -> None:
+        """Rank every distinct query not in the table yet, once per shard.
+
+        In chunks of at most ``_RANK_AHEAD_ROWS`` candidate rows: one
+        user-tower pass per chunk, then each shard's batch ranker.  Rows
+        do not depend on their batch (``stable_matmul`` rows, the
+        per-query cosine mat-vec, row-wise stable argsorts), so serving
+        from the table is exact.  Ranking ahead bills nothing, opens no
+        span and moves no EWMA; a fleet without a batch ranker on every
+        shard ranks nothing.  Like its engines' copied item tables, the
+        table assumes the models stay fixed for the fleet's life.
+        """
+        rankers = self._rankers
+        if rankers is None:
+            return
+        known = self._table_row
+        new = [query for query in dict.fromkeys(queries) if query not in known]
+        if not new:
+            return
+        chunk = max(1, _RANK_AHEAD_ROWS // max(ranker.num_candidates for ranker in rankers))
+        grown = [
+            (
+                np.zeros((len(new), ranker.top_k), dtype=np.int64),
+                np.full((len(new), ranker.top_k), -1.0),
+                np.zeros(len(new), dtype=np.int64),
+            )
+            for ranker in rankers
+        ]
+        for start in range(0, len(new), chunk):
+            part = new[start : start + chunk]
+            users = None
+            if self._filtering_model is not None:
+                users = embed_queries(self._filtering_model, part)
+            for (ids, ctrs, counts), ranker in zip(grown, rankers):
+                part_ids, part_ctrs, part_counts = ranker._ranked_arrays(part, users)
+                rows = slice(start, start + len(part))
+                # A chunk whose longest row is under top-k ranks narrower.
+                ids[rows, : part_ids.shape[1]] = part_ids
+                ctrs[rows, : part_ctrs.shape[1]] = part_ctrs
+                counts[rows] = part_counts
+        if self._table:
+            grown = [
+                tuple(np.concatenate(pair) for pair in zip(old, added))
+                for old, added in zip(self._table, grown)
+            ]
+        self._table = grown
+        known.update(zip(new, range(len(known), len(known) + len(new))))
+
+    def _table_rows(
+        self, queries: Sequence[ServeQuery]
+    ) -> Optional[List[List[RankedRow]]]:
+        """Each shard's ranked rows of ``queries`` from the table, or None
+        unless every query of the batch is in it."""
+        known = self._table_row
+        if not known:
+            return None
+        try:
+            index = np.asarray([known[query] for query in queries])
+        except KeyError:
+            return None
+        return [
+            ranked_rows(ids[index], ctrs[index], counts[index], ranker.top_k)
+            for (ids, ctrs, counts), ranker in zip(self._table, self._rankers)
+        ]
+
     def _merge_cost_for(self, num_entries: int) -> Cost:
         """Batch-cached :meth:`merge_cost` (priced once per count)."""
         cached = self._merge_cost_cache.get(num_entries)
@@ -675,6 +768,11 @@ class ShardedEngine:
         shard-major entry numbering, so the stable tie-break reproduces
         the per-query ``(-score, entry index)`` merge order bit for bit.
 
+        When every query of the batch is in the ranked table
+        (:meth:`rank_ahead`), the router skips the user tower and hands
+        each shard its rows; otherwise it runs the tower once and every
+        shard ranks the batch.  Either way each engine bills the rows.
+
         Under an attached fault plane (``_faults``) replica-group shards
         recover internally (retries/failover/hedges), bare shards go
         dark past their deadline (:meth:`_serve_bare_shard`), and the
@@ -687,8 +785,9 @@ class ShardedEngine:
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
+        ranked = self._table_rows(queries)
         users = None
-        if self._filtering_model is not None:
+        if ranked is None and self._filtering_model is not None:
             users = embed_queries(self._filtering_model, queries)
         ctx = self._faults
         resilience = ctx.resilience if ctx is not None else None
@@ -710,18 +809,22 @@ class ShardedEngine:
                     shard=shard_index,
                     queries=len(queries),
                 )
+            # Without table rows, the two-argument call every shard takes.
+            args = (
+                (queries, users) if ranked is None else (queries, None, ranked[shard_index])
+            )
             if ctx is None:
-                shard_batch = shard.serve_batch(queries, users)
+                shard_batch = shard.serve_batch(*args)
             else:
                 # Every shard's first attempt starts at the same round
                 # anchor (lanes advance it locally for their own
                 # retries/hedges).
                 ctx.begin_round(round_s)
                 if isinstance(shard, ReplicaGroup):
-                    shard_batch = shard.serve_batch(queries, users)
+                    shard_batch = shard.serve_batch(*args)
                 else:
                     shard_batch = self._serve_bare_shard(
-                        shard, shard_index, queries, users, ctx, round_s
+                        shard, shard_index, args, ctx, round_s
                     )
             if traced:
                 tracer.close(base_s + shard_batch.cost.latency_s)
@@ -820,13 +923,14 @@ class ShardedEngine:
         self,
         shard,
         shard_index: int,
-        queries: Sequence[ServeQuery],
-        users: Optional[np.ndarray],
+        args: tuple,
         ctx,
         round_s: float,
     ) -> BatchResult:
         """One unreplicated shard's scatter under the fault plane.
 
+        ``args`` are the shard's ``serve_batch`` arguments: the queries,
+        then the tower rows and, from the ranked table, the ranked rows.
         A bare shard has no peer to fail over to, so a faulted attempt
         makes the whole shard dark for this batch: the caller waits the
         shard deadline (or the error's own latency), bills the wasted
@@ -834,6 +938,7 @@ class ShardedEngine:
         breaker skips the attempt entirely -- the steady state while a
         known-dead shard recovers.
         """
+        queries = args[0]
         breaker = (
             ctx.breaker(shard_index, 0) if ctx.resilience is not None else None
         )
@@ -843,7 +948,7 @@ class ShardedEngine:
             breaker.take_probe()
         estimate = getattr(shard, "expected_query_latency_s", None)
         try:
-            batch = shard.serve_batch(queries, users)
+            batch = shard.serve_batch(*args)
         except FaultError as fault:
             detect_s = ctx.detection_s(
                 fault, estimate, len(queries), shard_deadline=True
@@ -861,6 +966,16 @@ class ShardedEngine:
         if breaker is not None:
             breaker.record_success(round_s + batch.cost.latency_s)
         return batch
+
+
+def _batch_ranker(node) -> Optional[object]:
+    """The engine whose batch ranking serves shard ``node``: a group's
+    ranker, or a bare engine that ranks in batch (ranks like itself; an
+    analog engine ranks per query); None otherwise."""
+    if isinstance(node, ReplicaGroup):
+        return node._ranker
+    ranks_like = getattr(node, "_ranks_like", None)
+    return node if ranks_like is not None and ranks_like(node) else None
 
 
 def iter_engines(fleet) -> Iterator[Tuple[object, Optional[int], Optional[int]]]:

@@ -9,8 +9,8 @@ actually sees:
 * :class:`DiurnalTraffic` -- an inhomogeneous Poisson process with a
   sinusoidal day/night rate profile, sampled by thinning;
 * :class:`TraceReplayTraffic` -- Poisson arrivals whose *requesters* replay
-  an empirical user trace (MovieLens watch histories or the Criteo user
-  column), preserving real popularity skew for cache studies.
+  an empirical user trace (e.g. MovieLens watch histories), preserving
+  real popularity skew for cache studies.
 
 :class:`MultiTenantTraffic` composes any of the above into one front
 door: each :class:`TenantSpec` contributes its own arrival process, user
@@ -280,7 +280,6 @@ class TraceReplayTraffic(_TrafficBase):
         num_users: Optional[int] = None,
         seed: int = 0,
         stream: int = 0,
-        shuffle: bool = True,
     ):
         users = np.asarray(list(trace), dtype=np.int64)
         if users.size == 0:
@@ -294,7 +293,6 @@ class TraceReplayTraffic(_TrafficBase):
         if not rate_qps > 0.0:
             raise ValueError("arrival rate must be positive")
         self.rate_qps = rate_qps
-        self.shuffle = shuffle
         self.trace = users
 
     @classmethod
@@ -319,28 +317,11 @@ class TraceReplayTraffic(_TrafficBase):
             stream=stream,
         )
 
-    @classmethod
-    def from_criteo(
-        cls, dataset, rate_qps: float, seed: int = 0, stream: int = 0
-    ) -> "TraceReplayTraffic":
-        """Replay Criteo rows; the first sparse column is the requester id."""
-        trace = dataset.sparse[:, 0]
-        return cls(
-            trace,
-            rate_qps,
-            num_users=int(dataset.sparse[:, 0].max()) + 1,
-            seed=seed,
-            stream=stream,
-            shuffle=False,  # keep the dataset's own row order
-        )
-
     def generate(self, num_requests: int) -> List[Request]:
         if num_requests < 1:
             raise ValueError("need at least one request")
         rng = self._rng()
-        trace = self.trace
-        if self.shuffle:
-            trace = trace[rng.permutation(trace.size)]
+        trace = self.trace[rng.permutation(self.trace.size)]
         repeats = int(np.ceil(num_requests / trace.size))
         users = np.tile(trace, repeats)[:num_requests]
         gaps = rng.exponential(1.0 / self.rate_qps, size=num_requests)

@@ -58,6 +58,23 @@ class TestLatentFactorModel:
         mean_affinity = model.affinities(0).mean()
         assert sampled_affinity > mean_affinity
 
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_history_replays_generator_choice(self, seed):
+        # sample_history replays numpy's choice(p=...) without its
+        # validation of p: same draws, same stream position afterwards.
+        # Fails first if a numpy release changes choice's algorithm.
+        model = LatentFactorModel(6, 300, seed=seed)
+        reference = np.random.default_rng(seed + 100)
+        model._rng = np.random.default_rng(seed + 100)
+        for user, length in [(0, 1), (1, 2), (2, 31), (3, 200), (4, 7), (5, 1000)]:
+            expected = reference.choice(
+                model.num_items, size=length, p=model.interaction_probabilities(user)
+            )
+            history = model.sample_history(user, length)
+            assert history.dtype == expected.dtype
+            np.testing.assert_array_equal(history, expected)
+        assert model._rng.random() == reference.random()
+
     def test_click_rate_reflects_affinity(self):
         model = LatentFactorModel(1, 50, seed=1)
         affinities = model.affinities(0)

@@ -16,7 +16,9 @@ per-query twin of ``tests/conftest.py``):
   launch overheads by design;
 * it survives arbitrary cache states: a full serving session (scheduler,
   dedup window, result cache, warm-up) records the same items and the
-  same ledger totals whichever path serves the misses.
+  same ledger totals whichever path serves the misses -- on a bare
+  engine and on a shard router that ranks the session's trace ahead
+  (the twin router's table holds per-query ``recommend`` rows).
 
 Engines are built once and *shared* across examples on purpose: both
 paths observe the same call history, so any state the engines carry
@@ -164,18 +166,28 @@ def test_gpu_reference_batches_match_batch_of_one(per_query_twin, topology, indi
 
 
 @given(
+    router=st.booleans(),
     warm_users=st.lists(st.integers(0, 180), max_size=8),
     stream=st.lists(st.integers(0, 180), min_size=1, max_size=30),
     capacity=st.integers(1, 64),
 )
 @settings(max_examples=15)
 def test_sessions_identical_across_cache_states(
-    per_query_twin, warm_users, stream, capacity
+    per_query_twin, router, warm_users, stream, capacity
 ):
     """A full session (scheduler + dedup + cache + warm-up) serves the
     same items and charges the same ledger whichever path runs."""
     state = _setup(per_query_twin)
     workload = state["workload"]
+    filtering, ranking, mapping = _models(state)
+
+    def build():
+        if router:
+            return make_sharded_engine(
+                "imars", filtering, ranking, 2, mapping=mapping, seed=0
+            )
+        return IMARSEngine(filtering, ranking, mapping, seed=0)
+
     requests = [
         Request(request_id=index, arrival_s=index * 1e-4, user=user)
         for index, user in enumerate(stream)
@@ -183,10 +195,7 @@ def test_sessions_identical_across_cache_states(
     outcomes = []
     # Fresh engines per run: a session's EWMA history must not leak
     # between the two paths being compared.
-    for engine in (
-        IMARSEngine(*_models(state), seed=0),
-        per_query_twin(IMARSEngine(*_models(state), seed=0)),
-    ):
+    for engine in (build(), per_query_twin(build())):
         session = ServingSession(
             engine,
             workload,

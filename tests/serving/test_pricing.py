@@ -176,9 +176,15 @@ def test_nan_rate_rejected(rate):
         PriceBook(**{rate: float("nan")})
 
 
-def _priced_run(serving_setup, seed=0, price_book=None, twin=None):
-    """A priced session; ``twin`` (the per-query twin) swaps the engines'
-    batch path for per-query ``recommend``."""
+def _priced_run(serving_setup, seed=0, price_book=None):
+    """One priced session's run."""
+    session, requests = _priced_session(serving_setup, seed, price_book)
+    return session.run(requests)
+
+
+def _priced_session(serving_setup, seed=0, price_book=None, twin=None):
+    """A priced, warmed session and its trace; ``twin`` (the per-query
+    twin) swaps the engines' batch path for per-query ``recommend``."""
     dataset, filtering, ranking, mapping, workload = serving_setup
     engine = make_sharded_engine(
         "imars",
@@ -205,7 +211,7 @@ def _priced_run(serving_setup, seed=0, price_book=None, twin=None):
         price_book=price_book,
     )
     session.warm(range(6))
-    return session.run(requests)
+    return session, requests
 
 
 class TestPricedSession:
@@ -242,11 +248,20 @@ class TestPricedSession:
         assert first.price_ledger.total() == second.price_ledger.total()
         assert list(first.price_ledger) == list(second.price_ledger)
 
-    def test_vector_and_scalar_paths_price_identically(self, serving_setup, per_query_twin):
+    def test_vector_and_scalar_paths_price_identically(
+        self, serving_setup, per_query_twin, forbid_batch_ranking
+    ):
         # The batch path and per-query recommend charge identical cost
         # rows, so they must bill identical dollars, row for row.
         vector = _priced_run(serving_setup, price_book=PriceBook())
-        scalar = _priced_run(serving_setup, price_book=PriceBook(), twin=per_query_twin)
+        session, requests = _priced_session(
+            serving_setup, price_book=PriceBook(), twin=per_query_twin
+        )
+        # Both fleets serve from a ranked table: the twin's must hold
+        # recommend's rows, not the batch kernels' the other side ran.
+        forbid_batch_ranking()
+        scalar = session.run(requests)
+        assert session.engine._table_row
         assert list(vector.price_ledger) == list(scalar.price_ledger)
         assert vector.price_ledger.total() == scalar.price_ledger.total()
 

@@ -21,7 +21,13 @@ import numpy as np
 import pytest
 
 from repro.core import pipeline
-from repro.core.pipeline import GPUReferenceEngine, GPUSpilloverEngine, IMARSEngine
+from repro.core.pipeline import (
+    BatchResult,
+    GPUReferenceEngine,
+    GPUSpilloverEngine,
+    IMARSEngine,
+    QueryResult,
+)
 from repro.energy.accounting import Cost
 from repro.models.youtube_dnn import (
     _SCORE_CHUNK_ROWS,
@@ -30,12 +36,18 @@ from repro.models.youtube_dnn import (
 )
 from repro.nn.stable import stable_matmul
 from repro.nns.lsh_search import LSHHammingIndex
+from repro.serving.autoscaler import ScheduledScalePlan
+from repro.serving.cache import ServingCache
+from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
+from repro.serving.session import ServingSession
 from repro.serving.shard import (
     ReplicaGroup,
     ShardedEngine,
+    iter_engines,
     make_sharded_engine,
     partition_corpus,
 )
+from repro.serving.traffic import PoissonTraffic, Request
 
 
 def _snapshot(results):
@@ -512,3 +524,275 @@ class TestGPUReferenceBatchIdentity:
         assert batch.results == []
         assert batch.cost == twin.serve_batch([]).cost == Cost()
         assert batched.expected_query_latency_s is None
+
+
+# -- ranked ahead: a fleet's table against per-batch ranking -----------------
+
+_RANK_AHEAD_FLEETS = {
+    "imars-1": ("imars", dict(num_shards=1)),
+    "imars-4x2": ("imars", dict(num_shards=4, replicas_per_shard=2)),
+    "gpu-2": ("gpu", dict(num_shards=2)),
+    "imc-spillover": (
+        "imars",
+        dict(num_shards=2, spillover_replicas_per_shard=1, spillover_slo_s=0.5),
+    ),
+}
+
+
+def _fleet_builder(serving_setup, kind, topology):
+    _, filtering, ranking, mapping, _ = serving_setup
+
+    def build():
+        return make_sharded_engine(
+            kind,
+            filtering,
+            ranking,
+            mapping=mapping if kind == "imars" else None,
+            seed=0,
+            **topology,
+        )
+
+    return build
+
+
+def _bits_snapshot(results):
+    """Everything a result carries, scores as their exact bytes."""
+    return [
+        (
+            result.items,
+            np.asarray(result.scores, dtype=np.float64).tobytes(),
+            result.candidate_count,
+            result.cost,
+            tuple(result.ledger),
+            result.ledger.name,
+        )
+        for result in results
+    ]
+
+
+def _engine_state(fleet):
+    """Both EWMAs of every node, and each group's routing counters."""
+    return [
+        (
+            getattr(node, "expected_query_latency_s", None),
+            getattr(node, "expected_query_energy_pj", None),
+            getattr(node, "busy_s", None),
+            getattr(node, "assigned", None),
+        )
+        for node, _, _ in iter_engines(fleet)
+    ]
+
+
+class _StubShard:
+    """A bare shard with no batch ranking: fixed answers, no kernels."""
+
+    top_k = 3
+    expected_query_latency_s = None
+
+    def serve_batch(self, queries, users=None):
+        results = [
+            QueryResult(items=[1], candidate_count=1, cost=Cost(1.0, 1.0), scores=[0.5])
+            for _ in queries
+        ]
+        return BatchResult(results=results, cost=Cost(len(queries), 1.0))
+
+    def merge_cost(self, num_entries):
+        return Cost()
+
+
+class TestRankAhead:
+    @pytest.mark.parametrize("fleet", list(_RANK_AHEAD_FLEETS), ids=list(_RANK_AHEAD_FLEETS))
+    def test_table_batches_equal_per_batch_ranking_and_the_twin(
+        self, fleet, serving_setup, per_query_twin
+    ):
+        *_, workload = serving_setup
+        build = _fleet_builder(serving_setup, *_RANK_AHEAD_FLEETS[fleet])
+        ahead, fresh, twin = build(), build(), per_query_twin(build())
+        queries = workload[:50] + workload[:20]  # includes duplicate queries
+        ahead.rank_ahead(queries)
+        assert len(ahead._table_row) == len(set(queries)) == 50
+        # Batches in an order the table was not built in, every query
+        # served at least once, plus a batch of one.
+        for batch_queries in (queries[::-1][:40], queries[:35], queries[5:6]):
+            batch = ahead.serve_batch(batch_queries)
+            for reference in (fresh.serve_batch(batch_queries), twin.serve_batch(batch_queries)):
+                assert _bits_snapshot(batch.results) == _bits_snapshot(reference.results)
+                assert batch.cost == reference.cost
+            assert _engine_state(ahead) == _engine_state(fresh) == _engine_state(twin)
+
+    def test_table_batches_run_no_tower_and_no_nns(self, serving_setup, monkeypatch):
+        *_, workload = serving_setup
+        queries = (workload * 2)[:50]
+        fleets = [
+            _fleet_builder(serving_setup, *_RANK_AHEAD_FLEETS[name])()
+            for name in ("imars-1", "imars-4x2", "gpu-2")
+        ]
+        for fleet in fleets:
+            fleet.rank_ahead(queries)
+        calls = [
+            _counted(monkeypatch, YouTubeDNNFiltering, "user_embedding"),
+            _counted(monkeypatch, LSHHammingIndex, "distances_batch"),
+            _counted(monkeypatch, pipeline, "cosine_topk_batch"),
+        ]
+        for fleet in fleets:
+            for batch_queries in (queries, queries[7:20], queries[3:4]):
+                fleet.serve_batch(batch_queries)
+        assert calls == [[], [], []]
+
+    def test_a_batch_with_an_unseen_query_ranks_per_batch(
+        self, serving_setup, monkeypatch
+    ):
+        *_, workload = serving_setup
+        build = _fleet_builder(serving_setup, *_RANK_AHEAD_FLEETS["imars-4x2"])
+        ahead, fresh = build(), build()
+        ahead.rank_ahead(workload[:30])
+        towers = _counted(monkeypatch, YouTubeDNNFiltering, "user_embedding")
+        scans = _counted(monkeypatch, LSHHammingIndex, "distances_batch")
+        batch_queries = workload[20:30] + workload[40:41]  # one query unseen
+        batch = ahead.serve_batch(batch_queries)
+        # Today's path: one tower pass for the batch, one scan per group.
+        assert len(towers) == 1 and len(scans) == len(ahead.shards)
+        reference = fresh.serve_batch(batch_queries)
+        assert _bits_snapshot(batch.results) == _bits_snapshot(reference.results)
+        assert batch.cost == reference.cost
+        assert _engine_state(ahead) == _engine_state(fresh)
+
+    @pytest.mark.parametrize("shards", ["analog", "other-seed", "stub"])
+    def test_fleets_without_a_batch_ranker_rank_nothing(
+        self, shards, serving_setup, monkeypatch
+    ):
+        _, filtering, ranking, mapping, workload = serving_setup
+        halves = partition_corpus(filtering.config.num_items, 2)
+
+        def build():
+            other = {
+                "analog": lambda: IMARSEngine(
+                    filtering, ranking, mapping, seed=1, analog_dnn=True, item_subset=halves[1]
+                ),
+                "other-seed": lambda: ReplicaGroup(
+                    [
+                        IMARSEngine(filtering, ranking, mapping, seed=seed, item_subset=halves[1])
+                        for seed in (1, 2)
+                    ]
+                ),
+                "stub": _StubShard,
+            }[shards]()
+            digital = IMARSEngine(filtering, ranking, mapping, seed=0, item_subset=halves[0])
+            return ShardedEngine([digital, other], top_k=10)
+
+        router, fresh = build(), build()
+        assert router._rankers is None
+        towers = _counted(monkeypatch, YouTubeDNNFiltering, "user_embedding")
+        router.rank_ahead(workload[:20])
+        assert towers == []
+        assert router._table_row == {} and router._table == []
+        # Served as today, by per-batch ranking.
+        batch, reference = router.serve_batch(workload[:20]), fresh.serve_batch(workload[:20])
+        assert _bits_snapshot(batch.results) == _bits_snapshot(reference.results)
+        assert batch.cost == reference.cost
+
+    def test_a_group_of_one_analog_engine_ranks_per_query(self, serving_setup):
+        # Alone in its group, an analog engine is no batch ranker: the
+        # group must not hand its round to the batched scorer.
+        _, filtering, ranking, mapping, workload = serving_setup
+        group = ReplicaGroup(
+            [IMARSEngine(filtering, ranking, mapping, seed=0, analog_dnn=True)]
+        )
+        assert group._ranker is None
+        solo = IMARSEngine(filtering, ranking, mapping, seed=0, analog_dnn=True)
+        batch = group.serve_batch(workload[:6])
+        assert _bits_snapshot(batch.results) == _bits_snapshot(
+            [solo.recommend_query(query) for query in workload[:6]]
+        )
+
+
+def _session_outcome(result):
+    return (
+        [
+            (record.request.request_id, record.items, record.completion_s, record.cache_hit)
+            for record in result.records
+        ],
+        tuple(result.ledger),
+        [(event.time_s, event.new_deployment, event.cost) for event in result.scale_events],
+    )
+
+
+class TestRankAheadSessions:
+    def _session(self, serving_setup, factory, requests_count=80):
+        dataset, *_, workload = serving_setup
+        fleet = factory(1, 1)
+        batch_one_s = fleet.recommend_query(workload[0]).cost.latency_s
+        requests = PoissonTraffic(
+            6.0 / batch_one_s, num_users=dataset.num_users, seed=0, stream=5
+        ).generate(requests_count)
+        third = requests[-1].arrival_s / 3.0
+        session = ServingSession(
+            fleet,
+            workload,
+            scheduler=MicroBatchScheduler(MicroBatchConfig(max_batch_size=8, max_wait_s=0.0)),
+            cache=ServingCache(capacity=12, rows_per_entry=4),
+            engine_factory=factory,
+            scaler=ScheduledScalePlan([(third, (2, 2)), (2.0 * third, (2, 1))]),
+        )
+        return session, requests
+
+    def test_scaled_fleets_serve_from_their_own_tables(
+        self, serving_setup, per_query_twin, forbid_batch_ranking, monkeypatch
+    ):
+        _, filtering, ranking, mapping, _ = serving_setup
+        built = []
+
+        def factory(twin):
+            def build(shards, replicas):
+                fleet = make_sharded_engine(
+                    "imars", filtering, ranking, shards, mapping=mapping,
+                    num_candidates=12, top_k=4, seed=0, replicas_per_shard=replicas,
+                )
+                built.append(fleet)
+                return per_query_twin(fleet) if twin else fleet
+
+            return build
+
+        session, requests = self._session(serving_setup, factory(False))
+        ranked_per_batch = []
+        table_rows = ShardedEngine._table_rows
+
+        def recorded(router, queries):
+            rows = table_rows(router, queries)
+            ranked_per_batch.append(rows is None)
+            return rows
+
+        monkeypatch.setattr(ShardedEngine, "_table_rows", recorded)
+        result = session.run(requests)
+        fleets = list(built)
+        assert [event.new_deployment for event in result.scale_events] == [(2, 2), (2, 1)]
+        # Every batch of the run was served from a table, and each fleet
+        # the plan built ranked the trace ahead on its own.
+        distinct = {session._query_for(request) for request in requests}
+        assert ranked_per_batch and not any(ranked_per_batch)
+        assert len(fleets) == 3
+        assert [set(fleet._table_row) for fleet in fleets] == [distinct] * 3
+
+        built.clear()
+        twin_session, _ = self._session(serving_setup, factory(True))
+        forbid_batch_ranking()  # the twin's tables must come from recommend
+        twin = twin_session.run(requests)
+        assert [set(fleet._table_row) for fleet in built] == [distinct] * 3
+        assert _session_outcome(result) == _session_outcome(twin)
+
+    def test_empty_and_one_request_runs(self, serving_setup):
+        _, filtering, ranking, mapping, workload = serving_setup
+        fleet = make_sharded_engine("imars", filtering, ranking, 2, mapping=mapping, seed=0)
+        session = ServingSession(fleet, workload, cache=ServingCache(8, rows_per_entry=10))
+        empty = session.run([])
+        assert (empty.records, empty.batches, list(empty.ledger)) == ([], [], [])
+        assert fleet._table_row == {}
+        with pytest.raises(ValueError):
+            empty.report
+        one = session.run([Request(request_id=0, arrival_s=0.0, user=3)])
+        assert list(fleet._table_row) == [workload[3]]
+        fresh = make_sharded_engine("imars", filtering, ranking, 2, mapping=mapping, seed=0)
+        expected = fresh.recommend_query(workload[3])
+        assert [record.items for record in one.records] == [tuple(expected.items)]
+        assert [category for category, _ in one.ledger] == ["Cache", "Serve", "Cache"]
+        assert one.ledger.total().energy_pj > expected.cost.energy_pj
